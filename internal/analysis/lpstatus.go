@@ -7,20 +7,22 @@ import (
 	"strings"
 )
 
-// LPStatusAnalyzer flags code that reads lp.Result.X or lp.Result.Value in a
-// function that never inspects the same Result's Status. An infeasible or
-// unbounded solve leaves X and Value meaningless (zero-valued), so acting on
-// them without the Status == lp.Optimal check turns a numeric edge case into
-// a silently wrong geometric decision.
+// LPStatusAnalyzer flags code that reads lp.Result.X, lp.Result.Value or
+// lp.Result.Dual in a function that never inspects the same Result's Status.
+// An infeasible, unbounded or iteration-limited solve leaves X, Value and
+// Dual meaningless (zero-valued), so acting on them without the
+// Status == lp.Optimal check turns a numeric edge case into a silently wrong
+// geometric decision.
 //
 // The check is flow-insensitive per function: a Result-typed variable whose
-// .X/.Value is read must have a .Status read somewhere in the same function.
-// Results that escape the function whole (returned, passed as an argument,
-// re-assigned) are assumed to be checked by the consumer. Chained access
-// like lp.Solve(p).X can never be status-checked and is always flagged.
+// .X/.Value/.Dual is read must have a .Status read somewhere in the same
+// function. Results that escape the function whole (returned, passed as an
+// argument, re-assigned) are assumed to be checked by the consumer. Chained
+// access like lp.Solve(p).X can never be status-checked and is always
+// flagged.
 var LPStatusAnalyzer = &Analyzer{
 	Name: "lpstatus",
-	Doc:  "flags lp.Result.X/.Value reads on paths where Result.Status was never checked",
+	Doc:  "flags lp.Result.X/.Value/.Dual reads on paths where Result.Status was never checked",
 	Run:  runLPStatus,
 }
 
@@ -51,7 +53,7 @@ func runLPStatus(pass *Pass) error {
 }
 
 type lpVarState struct {
-	usePos        token.Pos // first .X/.Value read
+	usePos        token.Pos // first .X/.Value/.Dual read
 	useName       string
 	statusChecked bool
 	escaped       bool
@@ -90,14 +92,14 @@ func checkLPStatusFunc(pass *Pass, body *ast.BlockStmt) {
 			switch sel.Sel.Name {
 			case "Status":
 				s.statusChecked = true
-			case "X", "Value":
+			case "X", "Value", "Dual":
 				if s.usePos == token.NoPos {
 					s.usePos, s.useName = sel.Sel.Pos(), sel.Sel.Name
 				}
 			}
 		case *ast.CallExpr:
 			// Chained lp.Solve(p).X — no variable to check Status on.
-			if sel.Sel.Name == "X" || sel.Sel.Name == "Value" {
+			if n := sel.Sel.Name; n == "X" || n == "Value" || n == "Dual" {
 				pass.Reportf(sel.Sel.Pos(), "lp.Result.%s read directly off the Solve call; bind the Result and check .Status == lp.Optimal first", sel.Sel.Name)
 			}
 		}

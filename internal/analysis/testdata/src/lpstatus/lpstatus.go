@@ -13,6 +13,19 @@ func uncheckedValue(p lp.Problem) float64 {
 	return res.Value // want `lp.Result.Value read but Result.Status is never checked`
 }
 
+func uncheckedDual(p lp.Problem) []float64 {
+	res := lp.Solve(p)
+	return res.Dual // want `lp.Result.Dual read but Result.Status is never checked`
+}
+
+func checkedDual(p lp.Problem) []float64 {
+	res := lp.Solve(p)
+	if res.Status != lp.Optimal {
+		return nil
+	}
+	return res.Dual
+}
+
 func checked(p lp.Problem) []float64 {
 	res := lp.Solve(p)
 	if res.Status != lp.Optimal {
@@ -27,6 +40,10 @@ func chained(p lp.Problem) float64 {
 
 func chainedX(p lp.Problem) []float64 {
 	return lp.Solve(p).X // want `lp.Result.X read directly off the Solve call`
+}
+
+func chainedDual(p lp.Problem) []float64 {
+	return lp.Solve(p).Dual // want `lp.Result.Dual read directly off the Solve call`
 }
 
 // escapes hands the whole Result to another function, which is assumed to

@@ -97,8 +97,8 @@ type tracker struct {
 	// budgeted marks trackers built by newTracker (budget machinery in
 	// play, even if the budget itself is inactive); observer-only trackers
 	// from obsTracker leave it false so instrumentation never changes how
-	// an unbudgeted run handles faults (e.g. strict vs historical LP error
-	// handling in convex-point detection).
+	// an unbudgeted run uses the preprocessing cache (populate vs
+	// lookup-only in convex-point detection).
 	budgeted bool
 	budget   Budget
 	clk      clock.Clock
@@ -155,8 +155,8 @@ func newTracker(b Budget, strat polytope.Strategy, stopEvery int, o obs.Observer
 // budget, no clock — or nil when there is nothing to observe, keeping the
 // uninstrumented fast path allocation-free. It is how the plain Run entry
 // points thread an attached observer without changing any behaviour:
-// every budget gate checks active (false here) and the fault-handling
-// routing checks budgeted (also false here).
+// every budget gate checks active (false here) and the cache routing
+// checks budgeted (also false here).
 func obsTracker(o obs.Observer) *tracker {
 	if o == nil {
 		return nil

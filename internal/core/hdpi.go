@@ -239,18 +239,17 @@ const prepKindConvexExact = "convex-exact"
 
 // convexPoints picks the right convex-point detection for the mode and
 // dimension: the exact mode uses the LP-free upper-envelope method in 2-d
-// and the output-sensitive LP method otherwise. Under a tracker the exact
-// mode is budget-aware and degrades to sampling when its LPs go bad (a
-// non-Optimal solve on a healthy problem) instead of silently mislabeling
-// convex points.
+// and the certified LP scan otherwise. When the scan's certificates fail
+// (hull.ConvexPointsExact returns an error), the exact mode degrades to
+// sampling instead of building partitions from a set it cannot vouch for.
 //
 // The exact paths honour opt.Parallelism (the speculative worker-pool
-// engine; 0/1 = serial legacy) and opt.PrepCache: unbudgeted exact results
-// are memoized under the dataset fingerprint with their event tape, so a
-// cached session emits the same stream a cold one does. Budgeted runs only
-// read the cache — a hit hands them the complete exact set for free, a miss
-// computes locally without populating (the scan may stop mid-way). Sampling
-// mode consumes randomness and is never cached.
+// engine; 0/1 = serial) and opt.PrepCache: unbudgeted exact results are
+// memoized under the dataset fingerprint with their event tape, so a cached
+// session emits the same stream a cold one does. Budgeted runs only read the
+// cache — a hit hands them the complete exact set for free, a miss computes
+// locally without populating (the scan may stop mid-way). Sampling mode
+// consumes randomness and is never cached.
 func convexPoints(points []geom.Vector, opt HDPIOptions, tr *tracker) []int {
 	o := tr.observer()
 	if opt.Mode != ConvexExact {
@@ -278,30 +277,27 @@ func convexPoints(points []geom.Vector, opt HDPIOptions, tr *tracker) []int {
 		obs.ConvexPointsFound(o, len(V), "2d-envelope")
 		return V
 	}
+	var err error
 	if tr == nil || !tr.budgeted {
-		// Plain (possibly observer-carrying) run: the historical
-		// reject-on-bad-LP behaviour, traced when an observer rides along.
-		if cache != nil {
-			v, err := cache.Do(key, o, func(co obs.Observer) (any, int64, error) {
-				V, _ := hull.ConvexPointsExactParallel(points, nil, false, co, opt.Parallelism)
-				return V, intsBytes(V), nil
-			})
-			if err == nil {
-				return copyInts(v.([]int))
-			}
+		var v any
+		v, err = cache.Do(key, o, func(co obs.Observer) (any, int64, error) {
+			V, err := hull.ConvexPointsExact(points, nil, co, opt.Parallelism)
+			return V, intsBytes(V), err
+		})
+		if err == nil {
+			return copyInts(v.([]int))
 		}
-		V, _ := hull.ConvexPointsExactParallel(points, nil, false, o, opt.Parallelism)
-		return V
-	}
-	if v, ok := cache.Lookup(key, o); ok {
-		return copyInts(v.([]int))
-	}
-	V, err := hull.ConvexPointsExactParallel(points, tr.exhausted, true, o, opt.Parallelism)
-	if err == nil {
-		return V
+	} else {
+		if v, ok := cache.Lookup(key, o); ok {
+			return copyInts(v.([]int))
+		}
+		var V []int
+		if V, err = hull.ConvexPointsExact(points, tr.exhausted, o, opt.Parallelism); err == nil {
+			return V
+		}
 	}
 	tr.note("convex accurate→sampling (" + err.Error() + ")")
-	V = hull.ConvexPointsSampling(points, opt.Samples, opt.Rng)
+	V := hull.ConvexPointsSampling(points, opt.Samples, opt.Rng)
 	obs.ConvexPointsFound(o, len(V), "sampling")
 	return V
 }

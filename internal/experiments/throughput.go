@@ -70,7 +70,10 @@ func SessionsThroughput(cfg Config) *Table {
 	runtime.GC()
 	runtime.ReadMemStats(&ms0)
 	start := time.Now()
-	serial, _ := hull.ConvexPointsExactParallel(band, nil, false, c, 1)
+	serial, err := hull.ConvexPointsExact(band, nil, c, 1)
+	if err != nil {
+		panic(err)
+	}
 	serialSec := time.Since(start).Seconds()
 	runtime.ReadMemStats(&ms1)
 	useful := float64(c.Count(obs.KindLPSolve))
@@ -85,8 +88,11 @@ func SessionsThroughput(cfg Config) *Table {
 		for trial := 0; trial < cfg.Trials; trial++ {
 			executed.Store(0)
 			start := time.Now()
-			v, _ := hull.ConvexPointsExactParallel(band, nil, false, nil, w)
+			v, err := hull.ConvexPointsExact(band, nil, nil, w)
 			sec += time.Since(start).Seconds()
+			if err != nil {
+				panic(err)
+			}
 			exec += executed.Load()
 			if len(v) != len(serial) {
 				panic("sessions-throughput: parallel scan diverged from serial")
@@ -132,7 +138,7 @@ func SessionsThroughput(cfg Config) *Table {
 		pts := skyband.Filter(points, v.([]int))
 		convexKey := prep.Key{Fingerprint: fp, Kind: "convex-exact"}
 		if _, err := cache.Do(convexKey, nil, func(o obs.Observer) (any, int64, error) {
-			vs, cerr := hull.ConvexPointsExactParallel(pts, nil, false, o, 1)
+			vs, cerr := hull.ConvexPointsExact(pts, nil, o, 1)
 			return vs, int64(len(vs))*8 + 24, cerr
 		}); err != nil {
 			panic(err)

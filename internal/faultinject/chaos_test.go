@@ -9,6 +9,9 @@ package faultinject
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,6 +19,8 @@ import (
 	"ist/internal/core"
 	"ist/internal/dataset"
 	"ist/internal/geom"
+	"ist/internal/hull"
+	"ist/internal/lp"
 	"ist/internal/oracle"
 	"ist/internal/skyband"
 )
@@ -252,8 +257,23 @@ func TestChaosDeadlineWalksDegradationLadder(t *testing.T) {
 	}
 }
 
-// TestChaosLPCorruptionDegradesAccurateMode checks the other ladder: a
-// corrupted convex-point LP under a budget makes accurate mode fall back to
+// corruptLPSolves makes the listed solves (1-based, counted from here on)
+// report Infeasible, as InstallLPFaults does for a single one, until the test
+// ends.
+func corruptLPSolves(t *testing.T, at ...int) {
+	t.Helper()
+	var n atomic.Int64
+	lp.SetSolveHook(func(r *lp.Result) {
+		if slices.Contains(at, int(n.Add(1))) {
+			*r = lp.Result{Status: lp.Infeasible}
+		}
+	})
+	t.Cleanup(func() { lp.SetSolveHook(nil) })
+}
+
+// TestChaosLPCorruptionDegradesAccurateMode checks the other ladder: when a
+// convex-point test fails its certificate on the dual LP (solve 1) and again
+// on the primal retry (solve 2), accurate mode under a budget falls back to
 // sampling (with a note in the certificate) instead of mislabeling points.
 func TestChaosLPCorruptionDegradesAccurateMode(t *testing.T) {
 	const k = 3
@@ -261,8 +281,7 @@ func TestChaosLPCorruptionDegradesAccurateMode(t *testing.T) {
 	hidden := oracle.RandomUtility(rand.New(rand.NewSource(53)), 3)
 	u := oracle.NewUser(hidden)
 
-	uninstall := InstallLPFaults(Plan{LPCorruptAt: 1})
-	defer uninstall()
+	corruptLPSolves(t, 1, 2)
 
 	alg := core.NewHDPI(core.HDPIOptions{Mode: core.ConvexExact, Rng: rand.New(rand.NewSource(37))})
 	idx, cert := core.RunBudgeted(alg, band, k, u, core.Budget{MaxQuestions: 128})
@@ -272,11 +291,56 @@ func TestChaosLPCorruptionDegradesAccurateMode(t *testing.T) {
 	}
 	found := false
 	for _, d := range cert.Degradations {
-		if len(d) >= len("convex accurate→sampling") && d[:len("convex accurate→sampling")] == "convex accurate→sampling" {
+		if strings.HasPrefix(d, "convex accurate→sampling") {
 			found = true
 		}
 	}
 	if !found {
 		t.Fatalf("no accurate→sampling degradation recorded; degradations: %v", cert.Degradations)
+	}
+}
+
+// TestChaosSingleLPCorruptionIsAbsorbed: one corrupted solve fails only the
+// dual test's certificate, and its primal retry absorbs the fault. Accurate
+// mode neither degrades nor changes: the same convex set, the same answer
+// and the same questions as a clean run.
+func TestChaosSingleLPCorruptionIsAbsorbed(t *testing.T) {
+	const k = 3
+	band := chaosBand(15, 150, 3, k)
+	hidden := oracle.RandomUtility(rand.New(rand.NewSource(53)), 3)
+	run := func() (int, core.Certificate, *oracle.RecordingOracle) {
+		rec := oracle.NewRecordingOracle(oracle.NewUser(hidden))
+		alg := core.NewHDPI(core.HDPIOptions{Mode: core.ConvexExact, Rng: rand.New(rand.NewSource(37))})
+		idx, cert := core.RunBudgeted(alg, band, k, rec, core.Budget{MaxQuestions: 128})
+		return idx, cert, rec
+	}
+
+	cleanV, err := hull.ConvexPointsExact(band, nil, nil, 1)
+	if err != nil {
+		t.Fatalf("clean scan: %v", err)
+	}
+	cleanIdx, _, cleanRec := run()
+
+	uninstall := InstallLPFaults(Plan{LPCorruptAt: 1})
+	V, err := hull.ConvexPointsExact(band, nil, nil, 1)
+	uninstall()
+	if err != nil {
+		t.Fatalf("scan with solve 1 corrupted: %v", err)
+	}
+	if !reflect.DeepEqual(V, cleanV) {
+		t.Fatalf("convex set with solve 1 corrupted %v, clean %v", V, cleanV)
+	}
+
+	uninstall = InstallLPFaults(Plan{LPCorruptAt: 1})
+	idx, cert, rec := run()
+	uninstall()
+	if len(cert.Degradations) != 0 {
+		t.Fatalf("a single corrupted solve degraded the run: %v", cert.Degradations)
+	}
+	if idx != cleanIdx {
+		t.Fatalf("result %d, clean run %d", idx, cleanIdx)
+	}
+	if !reflect.DeepEqual(rec.Transcript(), cleanRec.Transcript()) {
+		t.Fatal("question sequence diverged from the clean run")
 	}
 }

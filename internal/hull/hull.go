@@ -4,14 +4,25 @@
 //
 // Two strategies are provided, matching the paper's two HD-PI versions:
 //
-//   - ConvexPointsExact ("accurate"): an output-sensitive LP method. For
-//     each candidate p we solve max δ s.t. u·(p−q) ≥ δ for all confirmed
-//     convex points q; if δ < 0 then p is beaten everywhere already by the
-//     confirmed set and is rejected (adding constraints can only lower δ).
-//     Otherwise the witness u is verified against the full dataset: either p
-//     is top-1 at u (confirmed), or the actual winner is a new convex point
-//     that joins the confirmed set and the LP is retried. Every retry grows
-//     the confirmed set, so the total LP count is O(n + |V|) with tiny LPs.
+//   - ConvexPointsExact ("accurate"): an output-sensitive LP method. Each
+//     candidate p is tested against the confirmed convex points V with the
+//     minimax LP min t s.t. Σ_q λ_q·q + t·1 ≥ p, λ ∈ Δ(V): d+1 rows, one
+//     column per confirmed point. Its optimum equals max_u min_q u·(p−q),
+//     the margin by which p can beat every confirmed point at its best
+//     utility u. Neither outcome is taken on trust. A reject (t < −Eps)
+//     must come with a convex combination c = Σλ_q·q that beats p by more
+//     than Eps in every coordinate, which proves p loses by more than Eps
+//     at every utility and costs O(|V|·d) to check. An accept yields the
+//     witness u = −y[0:d], read off the LP's row multipliers; u must lie on
+//     the simplex, and a scan of the full dataset at u then either confirms
+//     p (tied-)top-1 or names the real winner w, a new convex point that
+//     joins V before p is tested again. A certificate that fails
+//     (non-optimal solve, a λ or u that does not check, or an
+//     already-confirmed winner at u) retries that one test with the primal
+//     LP max δ s.t. u·(q−p) + δ ≤ 0 ∀q ∈ V, u ∈ Δ, whose λ are its row
+//     multipliers. If the retry fails too, the scan returns an error, which
+//     HD-PI turns into its accurate→sampling degradation. Every re-test
+//     follows a new confirm, so the scan solves O(n + |V|) small LPs.
 //
 //   - ConvexPointsSampling ("sampling"): the paper's practical strategy —
 //     sample utility vectors uniformly and collect the distinct top-1
@@ -22,6 +33,7 @@ package hull
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -31,97 +43,82 @@ import (
 	"ist/internal/oracle"
 )
 
-// ConvexPointsExact returns the indices of all points that are top-1 for at
-// least one utility vector (ties count as top-1). A non-optimal LP solve
-// conservatively rejects the candidate (the historical behaviour); use
-// ConvexPointsExactErr to detect that instead.
-func ConvexPointsExact(points []geom.Vector) []int {
-	v, _ := convexPointsExact(points, nil, false, nil)
-	return v
-}
-
-// ConvexPointsExactErr is ConvexPointsExact with two production affordances:
-// a non-Optimal LP solve — which on this always-feasible problem means
-// numerical trouble, not geometry — is reported as an error so callers can
-// degrade to sampling mode rather than silently mislabel convex points, and
-// an optional stop predicate (checked once per candidate, the unit of the
-// LP batch loop) lets a budgeted caller abandon the scan early, receiving
-// the convex points confirmed so far.
-func ConvexPointsExactErr(points []geom.Vector, stop func() bool) ([]int, error) {
-	return convexPointsExact(points, stop, true, nil)
-}
-
-// ConvexPointsExactObserved is the fully parameterized exact detection with
-// trace events: one lp-solve event per LP (via lp.SolveTraced) and one
-// convex-point-test event per candidate decision. stop optionally abandons
-// the scan early as in ConvexPointsExactErr; strict selects that function's
-// error reporting for bad LP solves (true) or ConvexPointsExact's historical
-// silent-reject behaviour (false), so instrumented callers can keep whichever
-// fault semantics they had before attaching an observer.
-func ConvexPointsExactObserved(points []geom.Vector, stop func() bool, strict bool, o obs.Observer) ([]int, error) {
-	return convexPointsExact(points, stop, strict, o)
-}
-
-func convexPointsExact(points []geom.Vector, stop func() bool, strict bool, o obs.Observer) ([]int, error) {
-	n := len(points)
-	if n == 0 {
+// ConvexPointsExact returns, in ascending order, the indices of all points
+// that are top-1 for at least one utility vector (ties count as top-1).
+//
+// stop, when non-nil, is checked once per untested candidate; once it
+// returns true the scan ends and reports the points confirmed so far. o
+// receives one lp-solve event per LP solve and one convex-point-test event
+// per candidate. workers > 1 runs the speculative engine (parallel.go),
+// which returns the same points and the same event stream as the serial
+// scan at any worker count.
+//
+// An error means one candidate's test failed its certificate on the dual
+// LP and again on the primal retry; the points confirmed so far come with
+// it, but they are not the complete set.
+func ConvexPointsExact(points []geom.Vector, stop func() bool, o obs.Observer, workers int) ([]int, error) {
+	if len(points) == 0 {
 		return nil, nil
 	}
-	d := len(points[0])
+	if workers > 1 {
+		return convexPointsSpeculative(points, stop, o, workers)
+	}
+	return convexPointsSerial(points, stop, o)
+}
 
-	confirmed := map[int]bool{}
-	var confirmedList []int
-	confirm := func(i int) {
-		if !confirmed[i] {
-			confirmed[i] = true
-			confirmedList = append(confirmedList, i)
+// confirmed is a scan's growing set of convex points: the list in
+// confirmation order (which fixes the LP's column order) and a membership
+// index over all points.
+type confirmed struct {
+	list []int
+	in   []bool
+}
+
+// seedConfirmed starts a scan with the winners at the simplex corners and at
+// the centroid, convex points by construction.
+func seedConfirmed(points []geom.Vector) *confirmed {
+	c := &confirmed{in: make([]bool, len(points))}
+	for _, u := range seedUtilities(len(points[0])) {
+		c.add(argmax(points, u, -1))
+	}
+	return c
+}
+
+func (c *confirmed) add(ws ...int) {
+	for _, w := range ws {
+		if !c.in[w] {
+			c.in[w] = true
+			c.list = append(c.list, w)
 		}
 	}
+}
 
-	// Seed: the winner at each simplex corner and at the centroid is a
-	// convex point by construction.
-	for _, u := range seedUtilities(d) {
-		confirm(argmax(points, u, -1))
-	}
+// snapshot is the current list capped at its length, so a candidate test
+// appending its discoveries reallocates instead of writing into the list.
+func (c *confirmed) snapshot() []int { return c.list[:len(c.list):len(c.list)] }
 
-	for p := 0; p < n; p++ {
-		if confirmed[p] {
+func (c *confirmed) sorted() []int {
+	sort.Ints(c.list)
+	return c.list
+}
+
+func convexPointsSerial(points []geom.Vector, stop func() bool, o obs.Observer) ([]int, error) {
+	c := seedConfirmed(points)
+	for p := range points {
+		if c.in[p] {
 			continue
 		}
 		if stop != nil && stop() {
 			break // budget exhausted: report what is confirmed so far
 		}
-		for {
-			u, delta, ok := maxMinMargin(points, p, confirmedList, o)
-			if !ok {
-				if strict {
-					sort.Ints(confirmedList)
-					return confirmedList, fmt.Errorf("hull: convex-point LP for candidate %d returned a non-optimal status", p)
-				}
-				break // historical behaviour: reject the candidate
-			}
-			if delta < -geom.Eps {
-				break // beaten everywhere by confirmed points: not convex
-			}
-			// argmaxVals hands back the dot products the witness scan already
-			// computed, so the tie-top-1 test below re-derives nothing.
-			w, dp, dw := argmaxVals(points, u, p)
-			if dp >= dw-geom.Eps {
-				confirm(p) // p is (tied-)top-1 at the witness
-				break
-			}
-			if confirmed[w] {
-				// Numerical disagreement between LP and the exact argmax;
-				// the confirmed winner strictly beats p at its own witness,
-				// so reject p conservatively.
-				break
-			}
-			confirm(w) // found a new convex point; retry with it constrained
+		ext, err := testCandidate(points, p, c.snapshot(), o)
+		if err != nil {
+			return c.sorted(), err
 		}
-		obs.ConvexPointTest(o, p, confirmed[p])
+		c.add(ext...)
+		obs.ConvexPointTest(o, p, c.in[p])
 	}
-	sort.Ints(confirmedList)
-	return confirmedList, nil
+	return c.sorted(), nil
 }
 
 // seedUtilities returns the utility vectors whose winners are convex points
@@ -140,77 +137,235 @@ func seedUtilities(d int) []geom.Vector {
 	return append(seeds, c)
 }
 
-// marginScratch reuses maxMinMargin's LP staging buffers across calls: the
-// coefficient arena (objective + simplex row + one difference row per
-// confirmed point), the constraint headers, and the free-variable mask.
-// Reused memory is re-zeroed to fresh-make state, so the staged problem —
-// and therefore the solve — is bit-identical to the allocating version this
-// replaced (the hot-loop fix of PR 10; see BenchmarkMaxMinMargin). Pooled
-// because the parallel fan-out calls this from many workers at once.
-type marginScratch struct {
+// testCandidate decides candidate p against the confirmed points against:
+// each round solves p's LP, checks its certificate and either rejects p,
+// confirms p, or confirms the witness's winner w and tests again with w
+// appended to the constraints. It returns the points it confirmed in order,
+// p last iff p was confirmed; on an error, none. It only reads against, so
+// speculative workers may run it concurrently on one snapshot; against must
+// be capped at its length (confirmed.snapshot).
+func testCandidate(points []geom.Vector, p int, against []int, o obs.Observer) ([]int, error) {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	var ext []int
+	for {
+		v, w, _ := s.check(points, p, against, s.solveDual(points, p, against, o))
+		if v == failed {
+			var why string
+			if v, w, why = s.check(points, p, against, s.solvePrimal(points, p, against, o)); v == failed {
+				return nil, fmt.Errorf("hull: convex-point test of candidate %d failed its certificate on the dual LP and on the primal retry: %s", p, why)
+			}
+		}
+		switch v {
+		case rejected:
+			return ext, nil
+		case accepted:
+			return append(ext, p), nil
+		}
+		ext = append(ext, w)
+		against = append(against, w)
+	}
+}
+
+// verdict is the outcome of one certified LP test.
+type verdict int
+
+const (
+	failed   verdict = iota // the certificate did not check
+	rejected                // p loses by more than Eps at every utility
+	accepted                // p is (tied-)top-1 at the witness
+	grown                   // the witness's winner is a new convex point
+)
+
+// scratch holds one candidate test's working memory: the LP staging buffers
+// (coefficient arena, constraint headers, free-variable mask), the dual
+// witness and the combination c. Pooled, because speculative workers run
+// tests concurrently. Reused memory is re-zeroed, so a test's result does
+// not depend on what the buffers held before.
+type scratch struct {
 	arena []float64
 	cons  []lp.Constraint
 	free  []bool
+	u, c  []float64
 }
 
-var marginPool = sync.Pool{New: func() any { return new(marginScratch) }}
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// maxMinMargin solves max δ s.t. u in simplex, u·(p − q) ≥ δ for all q in
-// against (excluding p itself). Returns the witness u and δ.
-func maxMinMargin(points []geom.Vector, p int, against []int, o obs.Observer) (geom.Vector, float64, bool) {
-	d := len(points[p])
-	nv := d + 1 // u plus δ
-	s := marginPool.Get().(*marginScratch)
-	arena := s.arena
-	if need := nv * (2 + len(against)); cap(arena) < need {
-		arena = make([]float64, need)
+// zeroed returns a zeroed slice of length n, reusing *buf's array when it
+// is large enough.
+func zeroed[T any](buf *[]T, n int) []T {
+	b := *buf
+	if cap(b) < n {
+		b = make([]T, n)
 	} else {
-		arena = arena[:need]
-		clear(arena)
+		b = b[:n]
+		clear(b)
 	}
-	s.arena = arena
-	obj := arena[0:nv]
+	*buf = b
+	return b
+}
+
+// solution is one solved test in the form its certificates are read in:
+// the margin δ = max_u min_q u·(p−q), the weights λ over against, and the
+// witness utility u. Only status is set when the solve is not optimal.
+type solution struct {
+	status    lp.Status
+	delta     float64
+	lambda, u []float64
+}
+
+// solveDual stages p's minimax LP in the pooled buffers and solves it:
+// maximize −t over (λ, t), t free, s.t. Σ_q λ_q·q_i + t ≥ p_i for each
+// coordinate i, then Σ_q λ_q = 1. Columns follow against's order, so a test
+// is a pure function of (p, against). δ = t, and u is minus the coordinate
+// rows' multipliers.
+func (s *scratch) solveDual(points []geom.Vector, p int, against []int, o obs.Observer) solution {
+	d, m := len(points[p]), len(against)
+	nv := m + 1
+	arena := zeroed(&s.arena, nv*(d+2))
+	obj := arena[:nv]
+	obj[m] = -1
+	free := zeroed(&s.free, nv)
+	free[m] = true
+	cons := s.cons[:0]
+	for i := 0; i < d; i++ {
+		a := arena[(i+1)*nv : (i+2)*nv]
+		for j, q := range against {
+			a[j] = points[q][i]
+		}
+		a[m] = 1
+		cons = append(cons, lp.Constraint{Coef: a, Rel: lp.GE, RHS: points[p][i]})
+	}
+	one := arena[(d+1)*nv:]
+	for j := range against {
+		one[j] = 1
+	}
+	cons = append(cons, lp.Constraint{Coef: one, Rel: lp.EQ, RHS: 1})
+	s.cons = cons
+	res := lp.SolveTraced(lp.Problem{NumVars: nv, Objective: obj, Constraints: cons, Free: free}, o)
+	if res.Status != lp.Optimal {
+		return solution{status: res.Status}
+	}
+	u := zeroed(&s.u, d)
+	for i := range u {
+		u[i] = -res.Dual[i]
+	}
+	return solution{status: lp.Optimal, delta: res.X[m], lambda: res.X[:m], u: u}
+}
+
+// solvePrimal stages and solves the primal the dual test falls back to:
+// maximize δ over (u, δ), δ free, s.t. Σ_i u_i = 1, then u·(q − p) + δ ≤ 0
+// for each q in against. Stated as ≤ rows with RHS 0, the margin rows start
+// on their slacks and only Σu = 1 needs an artificial column. λ are the
+// margin rows' multipliers.
+func (s *scratch) solvePrimal(points []geom.Vector, p int, against []int, o obs.Observer) solution {
+	d, m := len(points[p]), len(against)
+	nv := d + 1
+	arena := zeroed(&s.arena, nv*(m+2))
+	obj := arena[:nv]
 	obj[d] = 1
+	free := zeroed(&s.free, nv)
+	free[d] = true
 	one := arena[nv : 2*nv]
 	for i := 0; i < d; i++ {
 		one[i] = 1
 	}
 	cons := append(s.cons[:0], lp.Constraint{Coef: one, Rel: lp.EQ, RHS: 1})
-	off := 2 * nv
 	pp := points[p]
-	for _, q := range against {
-		if q == p {
-			continue
+	for j, q := range against {
+		a := arena[(j+2)*nv : (j+3)*nv]
+		for i, x := range points[q] {
+			a[i] = x - pp[i]
 		}
-		// The difference p − q is written straight into the arena row: same
-		// floats as the Sub-then-copy it replaces, without the temporary.
-		row := arena[off : off+nv]
-		off += nv
-		pq := points[q]
-		for j := 0; j < d; j++ {
-			row[j] = pp[j] - pq[j]
-		}
-		row[d] = -1
-		cons = append(cons, lp.Constraint{Coef: row, Rel: lp.GE, RHS: 0})
+		a[d] = 1
+		cons = append(cons, lp.Constraint{Coef: a, Rel: lp.LE, RHS: 0})
 	}
 	s.cons = cons
-	free := s.free
-	if cap(free) < nv {
-		free = make([]bool, nv)
-	} else {
-		free = free[:nv]
-		clear(free)
-	}
-	s.free = free
-	free[d] = true
 	res := lp.SolveTraced(lp.Problem{NumVars: nv, Objective: obj, Constraints: cons, Free: free}, o)
-	// The solver copies the problem into its own scratch and Result.X is
-	// freshly allocated, so the buffers can go back to the pool here.
-	marginPool.Put(s)
 	if res.Status != lp.Optimal {
-		return nil, 0, false
+		return solution{status: res.Status}
 	}
-	return geom.Vector(res.X[:d]), res.Value, true
+	return solution{status: lp.Optimal, delta: res.Value, lambda: res.Dual[1:], u: res.X[:d]}
+}
+
+// check reads one solved test's certificate. For grown it also returns the
+// new convex point; for failed, why the certificate did not check.
+func (s *scratch) check(points []geom.Vector, p int, against []int, sol solution) (verdict, int, string) {
+	if sol.status != lp.Optimal {
+		return failed, -1, "LP status " + sol.status.String()
+	}
+	if sol.delta < -geom.Eps {
+		if s.dominated(points, p, against, sol.lambda) {
+			return rejected, -1, ""
+		}
+		return failed, -1, "reject certificate does not check"
+	}
+	if !onSimplex(sol.u) {
+		return failed, -1, "witness utility off the simplex"
+	}
+	// argmaxVals hands back the dot products the witness scan already
+	// computed, so the tie-top-1 test below re-derives nothing.
+	w, dp, dw := argmaxVals(points, sol.u, p)
+	if dp >= dw-geom.Eps {
+		return accepted, p, ""
+	}
+	if slices.Contains(against, w) {
+		return failed, -1, fmt.Sprintf("confirmed point %d beats it at the witness", w)
+	}
+	return grown, w, ""
+}
+
+// dominated checks the reject certificate: λ, clamped at 0 and renormalised,
+// combines the confirmed points into c with p_i − c_i < −Eps in every
+// coordinate. For any utility u on the simplex, u·c ≤ max_q u·q, so this
+// proves min_q u·(p − q) < −Eps everywhere.
+func (s *scratch) dominated(points []geom.Vector, p int, against []int, lambda []float64) bool {
+	c := zeroed(&s.c, len(points[p]))
+	sum := 0.0
+	for j, q := range against {
+		l := lambda[j]
+		if l <= 0 {
+			continue
+		}
+		sum += l
+		for i, x := range points[q] {
+			c[i] += l * x
+		}
+	}
+	if sum <= 0 {
+		return false
+	}
+	for i, x := range points[p] {
+		if x-c[i]/sum >= -geom.Eps {
+			return false
+		}
+	}
+	return true
+}
+
+// onSimplex checks the accept certificate's witness — every coordinate at
+// least −FeasEps and the sum within FeasEps of 1 — and, if it holds, clamps u
+// at 0 and renormalises it in place.
+func onSimplex(u []float64) bool {
+	sum := 0.0
+	for _, x := range u {
+		if x < -geom.FeasEps {
+			return false
+		}
+		sum += x
+	}
+	if sum < 1-geom.FeasEps || sum > 1+geom.FeasEps {
+		return false
+	}
+	sum = 0
+	for i, x := range u {
+		u[i] = max(x, 0)
+		sum += u[i]
+	}
+	for i := range u {
+		u[i] /= sum
+	}
+	return true
 }
 
 // argmax returns the index with the highest utility w.r.t. u; prefer wins

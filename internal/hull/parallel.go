@@ -1,25 +1,20 @@
 package hull
 
 import (
-	"fmt"
-	"sort"
-
 	"ist/internal/geom"
 	"ist/internal/obs"
 	"ist/internal/parallel"
 )
 
-// ConvexPointsExactParallel is ConvexPointsExactObserved fanned out over a
-// bounded worker pool. workers <= 1 runs the serial engine unchanged. For
-// workers > 1 the scan is speculative-batch parallel (DESIGN.md §14):
+// convexPointsSpeculative is the serial scan fanned out over a bounded
+// worker pool as speculative batches (DESIGN.md §14):
 //
-//   - The dispatcher snapshots the confirmed set and hands a batch of
-//     candidates to the pool. Each worker runs the full serial retry loop for
-//     its candidate against the snapshot, recording the lp-solve events it
-//     would have emitted into a private obs.Recorder and collecting the
-//     confirms it would have made.
+//   - The dispatcher snapshots the confirmed list and hands a batch of
+//     candidates to the pool. Each worker runs testCandidate for its
+//     candidate against the snapshot, recording the lp-solve events it would
+//     have emitted into a private obs.Recorder.
 //   - Results are committed strictly in candidate order. A commit replays the
-//     worker's event buffer, applies its confirms, and emits the candidate's
+//     worker's event tape, applies its confirms, and emits the candidate's
 //     convex-point-test event — so the merged event stream, the confirmed
 //     set, and every stop() call site are bit-identical to a serial run.
 //   - A commit that grows the confirmed set invalidates the later slots of
@@ -31,40 +26,9 @@ import (
 // stop is only ever called from the dispatcher goroutine (once per
 // unconfirmed candidate, in candidate order, exactly as the serial scan
 // does), so callers may pass predicates that are not goroutine-safe.
-func ConvexPointsExactParallel(points []geom.Vector, stop func() bool, strict bool, o obs.Observer, workers int) ([]int, error) {
-	if workers <= 1 {
-		return convexPointsExact(points, stop, strict, o)
-	}
-	return convexPointsExactParallel(points, stop, strict, o, workers)
-}
-
-// spexResult is one worker's speculation: the confirms its retry loop made
-// (in order; the candidate itself appears last iff it was confirmed), the
-// private event tape, and the strict-mode LP failure, if any.
-type spexResult struct {
-	ext []int
-	rec *obs.Recorder
-	err error
-}
-
-func convexPointsExactParallel(points []geom.Vector, stop func() bool, strict bool, o obs.Observer, workers int) ([]int, error) {
+func convexPointsSpeculative(points []geom.Vector, stop func() bool, o obs.Observer, workers int) ([]int, error) {
 	n := len(points)
-	if n == 0 {
-		return nil, nil
-	}
-	d := len(points[0])
-
-	confirmed := map[int]bool{}
-	var confirmedList []int
-	confirm := func(i int) {
-		if !confirmed[i] {
-			confirmed[i] = true
-			confirmedList = append(confirmedList, i)
-		}
-	}
-	for _, u := range seedUtilities(d) {
-		confirm(argmax(points, u, -1))
-	}
+	c := seedConfirmed(points)
 
 	// Batch size adapts to the confirm rate: every commit that grows the
 	// confirmed set discards the rest of its batch, so while confirms are
@@ -77,13 +41,13 @@ func convexPointsExactParallel(points []geom.Vector, stop func() bool, strict bo
 	batchCap := 2 * workers
 	batchSize := 1
 	batch := make([]int, 0, batchCap)
-	var results []spexResult
+	var results []speculation
 	next := 0
 	for next < n {
 		batch = batch[:0]
 		scan := next
 		for ; scan < n && len(batch) < batchSize; scan++ {
-			if !confirmed[scan] {
+			if !c.in[scan] {
 				batch = append(batch, scan)
 			}
 		}
@@ -92,22 +56,16 @@ func convexPointsExactParallel(points []geom.Vector, stop func() bool, strict bo
 			continue
 		}
 
-		// Snapshot the confirmed set. The three-index slice caps the
-		// snapshot at its own length, so a worker's append reallocates
-		// instead of scribbling on the shared backing array.
-		version := len(confirmedList)
-		snap := confirmedList[:version:version]
-		snapSet := make(map[int]bool, version)
-		for _, q := range snap {
-			snapSet[q] = true
-		}
-
+		version := len(c.list)
+		snap := c.snapshot()
 		if cap(results) < len(batch) {
-			results = make([]spexResult, len(batch))
+			results = make([]speculation, len(batch))
 		}
 		results = results[:len(batch)]
 		parallel.Do(workers, len(batch), func(i int) {
-			results[i] = speculate(points, batch[i], snap, snapSet, strict)
+			rec := &obs.Recorder{}
+			ext, err := testCandidate(points, batch[i], snap, rec)
+			results[i] = speculation{ext: ext, rec: rec, err: err}
 		})
 
 		// Commit in candidate order, mirroring the serial loop's per-candidate
@@ -115,10 +73,10 @@ func convexPointsExactParallel(points []geom.Vector, stop func() bool, strict bo
 		next = scan
 		stale := false
 		for i, p := range batch {
-			if confirmed[p] {
+			if c.in[p] {
 				continue // confirmed by an earlier commit; serial skips silently
 			}
-			if len(confirmedList) != version {
+			if len(c.list) != version {
 				// An earlier commit grew the confirmed set, so this slot's
 				// LPs ran against a stale constraint set. Re-speculate from
 				// here with the fresh snapshot. Checked before stop() so a
@@ -130,19 +88,15 @@ func convexPointsExactParallel(points []geom.Vector, stop func() bool, strict bo
 				break
 			}
 			if stop != nil && stop() {
-				sort.Ints(confirmedList)
-				return confirmedList, nil
+				return c.sorted(), nil
 			}
 			r := results[i]
 			r.rec.Replay(o)
-			for _, w := range r.ext {
-				confirm(w)
-			}
 			if r.err != nil {
-				sort.Ints(confirmedList)
-				return confirmedList, r.err
+				return c.sorted(), r.err
 			}
-			obs.ConvexPointTest(o, p, confirmed[p])
+			c.add(r.ext...)
+			obs.ConvexPointTest(o, p, c.in[p])
 		}
 		if stale {
 			if batchSize > 1 {
@@ -152,46 +106,14 @@ func convexPointsExactParallel(points []geom.Vector, stop func() bool, strict bo
 			batchSize *= 2
 		}
 	}
-	sort.Ints(confirmedList)
-	return confirmedList, nil
+	return c.sorted(), nil
 }
 
-// speculate runs the serial engine's inner retry loop for candidate p against
-// the confirmed-set snapshot, buffering events and confirms instead of
-// publishing them. It reads only shared immutable state (points, snap,
-// snapSet) and is safe to run concurrently with other speculations.
-func speculate(points []geom.Vector, p int, snap []int, snapSet map[int]bool, strict bool) spexResult {
-	res := spexResult{rec: &obs.Recorder{}}
-	local := snap // cap-limited by the dispatcher: append reallocates
-	var localSet map[int]bool
-	for {
-		u, delta, ok := maxMinMargin(points, p, local, res.rec)
-		if !ok {
-			if strict {
-				res.err = fmt.Errorf("hull: convex-point LP for candidate %d returned a non-optimal status", p)
-			}
-			break // otherwise the historical behaviour: reject the candidate
-		}
-		if delta < -geom.Eps {
-			break // beaten everywhere by confirmed points: not convex
-		}
-		w, dp, dw := argmaxVals(points, u, p)
-		if dp >= dw-geom.Eps {
-			res.ext = append(res.ext, p) // p is (tied-)top-1 at the witness
-			break
-		}
-		if snapSet[w] || localSet[w] {
-			// Numerical disagreement between LP and the exact argmax; the
-			// confirmed winner strictly beats p at its own witness, so
-			// reject p conservatively (as the serial engine does).
-			break
-		}
-		if localSet == nil {
-			localSet = map[int]bool{}
-		}
-		localSet[w] = true
-		local = append(local, w)
-		res.ext = append(res.ext, w) // new convex point; retry with it constrained
-	}
-	return res
+// speculation is one worker's test of one candidate: the confirms it made
+// (in order; the candidate itself last iff it was confirmed), its private
+// event tape, and the error if its certificates failed.
+type speculation struct {
+	ext []int
+	rec *obs.Recorder
+	err error
 }

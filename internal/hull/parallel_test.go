@@ -41,13 +41,13 @@ func TestParallelMatchesSerial(t *testing.T) {
 	pts := antiCorrelatedBand(t, 300, 5, 3)
 
 	var serialRec obs.Recorder
-	wantV, wantErr := convexPointsExact(pts, nil, true, &serialRec)
+	wantV, wantErr := convexPointsSerial(pts, nil, &serialRec)
 	if wantErr != nil {
 		t.Fatalf("serial: %v", wantErr)
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		var rec obs.Recorder
-		gotV, err := ConvexPointsExactParallel(pts, nil, true, &rec, workers)
+		gotV, err := ConvexPointsExact(pts, nil, &rec, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -65,9 +65,12 @@ func TestParallelMatchesSerial(t *testing.T) {
 // the engines must still agree when nobody is recording.
 func TestParallelMatchesSerialNilObserver(t *testing.T) {
 	pts := antiCorrelatedBand(t, 200, 4, 2)
-	want, _ := convexPointsExact(pts, nil, false, nil)
+	want, err := convexPointsSerial(pts, nil, nil)
+	if err != nil {
+		t.Fatalf("serial: %v", err)
+	}
 	for _, workers := range []int{2, 4} {
-		got, err := ConvexPointsExactParallel(pts, nil, false, nil, workers)
+		got, err := ConvexPointsExact(pts, nil, nil, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -85,12 +88,12 @@ func TestParallelStopImmediately(t *testing.T) {
 	stop := func() bool { return true }
 
 	var serialRec obs.Recorder
-	want, err := convexPointsExact(pts, stop, true, &serialRec)
+	want, err := convexPointsSerial(pts, stop, &serialRec)
 	if err != nil {
 		t.Fatalf("serial: %v", err)
 	}
 	var rec obs.Recorder
-	got, err := ConvexPointsExactParallel(pts, stop, true, &rec, 4)
+	got, err := ConvexPointsExact(pts, stop, &rec, 4)
 	if err != nil {
 		t.Fatalf("parallel: %v", err)
 	}
@@ -117,12 +120,12 @@ func TestParallelStopMidway(t *testing.T) {
 			}
 		}
 		var serialRec obs.Recorder
-		want, err := convexPointsExact(pts, mkStop(), true, &serialRec)
+		want, err := convexPointsSerial(pts, mkStop(), &serialRec)
 		if err != nil {
 			t.Fatalf("budget=%d serial: %v", budget, err)
 		}
 		var rec obs.Recorder
-		got, err := ConvexPointsExactParallel(pts, mkStop(), true, &rec, 4)
+		got, err := ConvexPointsExact(pts, mkStop(), &rec, 4)
 		if err != nil {
 			t.Fatalf("budget=%d parallel: %v", budget, err)
 		}
@@ -136,20 +139,23 @@ func TestParallelStopMidway(t *testing.T) {
 }
 
 // TestParallelWorkersOneIsSerialEngine pins that workers<=1 routes through
-// the legacy serial function (no batching, no snapshots).
+// the serial scan (no batching, no snapshots).
 func TestParallelWorkersOneIsSerialEngine(t *testing.T) {
 	freezeLPClock(t)
 	pts := antiCorrelatedBand(t, 100, 4, 2)
 	var a, b obs.Recorder
-	v1, _ := ConvexPointsExactParallel(pts, nil, true, &a, 1)
-	v2, _ := convexPointsExact(pts, nil, true, &b)
+	v1, err1 := ConvexPointsExact(pts, nil, &a, 1)
+	v2, err2 := convexPointsSerial(pts, nil, &b)
+	if err1 != nil || err2 != nil {
+		t.Fatalf("errors: %v, %v", err1, err2)
+	}
 	if !reflect.DeepEqual(v1, v2) || !reflect.DeepEqual(a.Events(), b.Events()) {
 		t.Fatal("workers=1 does not match the serial engine")
 	}
 }
 
 func TestParallelEmpty(t *testing.T) {
-	got, err := ConvexPointsExactParallel(nil, nil, true, nil, 4)
+	got, err := ConvexPointsExact(nil, nil, nil, 4)
 	if err != nil || got != nil {
 		t.Fatalf("empty input: got %v, %v", got, err)
 	}
@@ -162,7 +168,32 @@ func BenchmarkConvexPointsExact(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ConvexPointsExact(pts)
+		if _, err := ConvexPointsExact(pts, nil, nil, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkConvexPointsExactCarSlice is the scan on an embed-slices-shaped
+// band: the k = 10 skyband of a uniform 1,000-tuple slice of the Car-like
+// catalog generated from seed 1.
+func BenchmarkConvexPointsExactCarSlice(b *testing.B) {
+	ds, err := dataset.ByName("car", rand.New(rand.NewSource(1)), 68010, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	slice := make([]geom.Vector, 0, 1000)
+	for _, i := range rng.Perm(len(ds.Points))[:1000] {
+		slice = append(slice, ds.Points[i])
+	}
+	pts := skyband.Filter(slice, skyband.KSkyband(slice, 10))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ConvexPointsExact(pts, nil, nil, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -175,7 +206,7 @@ func BenchmarkConvexPointsExactParallel(b *testing.B) {
 		b.Run(map[int]string{1: "w1", 2: "w2", 4: "w4", 8: "w8"}[w], func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := ConvexPointsExactParallel(pts, nil, false, nil, w); err != nil {
+				if _, err := ConvexPointsExact(pts, nil, nil, w); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -183,11 +214,12 @@ func BenchmarkConvexPointsExactParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkMaxMinMargin measures one hot-loop LP staging + solve (the unit
-// of work the scratch arena de-allocates).
+// BenchmarkMaxMinMargin measures one certified candidate test: staging the
+// (d+1)-row dual LP in the pooled scratch, the solve, and the reject
+// certificate check (the candidate is not convex).
 func BenchmarkMaxMinMargin(b *testing.B) {
 	pts := antiCorrelatedBand(b, 400, 6, 3)
-	against := ConvexPointsExact(pts)
+	against := exactScan(b, pts)
 	p := -1
 	seen := map[int]bool{}
 	for _, q := range against {
@@ -202,10 +234,14 @@ func BenchmarkMaxMinMargin(b *testing.B) {
 	if p < 0 {
 		b.Skip("every point convex; no candidate to test")
 	}
+	s := new(scratch)
+	if v, _, why := s.check(pts, p, against, s.solveDual(pts, p, against, nil)); v != rejected {
+		b.Fatalf("candidate %d: verdict %v (%s), want rejected", p, v, why)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		maxMinMargin(pts, p, against, nil)
+		s.check(pts, p, against, s.solveDual(pts, p, against, nil))
 	}
 }
 

@@ -1,11 +1,12 @@
 // Package lp implements a dense two-phase simplex linear-programming solver.
 //
-// The IST reproduction needs LP in several places: output-sensitive convex
-// point detection (Section 5.2.1 "accurate" mode), R-domination pruning in
-// the UH-Random/UH-Simplex baselines, implication testing in Active-Ranking,
-// and exact hyperplane/region intersection tests. All of these are small
-// problems (at most a few variables and a few hundred constraints), so a
-// dense tableau with Bland-rule anti-cycling is both simple and adequate.
+// Its one production caller is the output-sensitive convex-point test of
+// HD-PI's "accurate" mode (Section 5.2.1, internal/hull), which checks every
+// result against a certificate rather than trusting it; the region helpers
+// in region.go serve the polytope engine's cross-check tests. The problems
+// are small (a few rows and at most a few hundred columns), so a dense
+// tableau with Bland-rule anti-cycling is both simple and adequate. The
+// baselines (UH, Active-Ranking) use vertex checks and no LP.
 package lp
 
 import (
@@ -41,6 +42,9 @@ const (
 	Infeasible
 	// Unbounded means the objective can grow without limit.
 	Unbounded
+	// IterationLimit means the simplex stopped after maxIter pivots without
+	// reaching an optimum; the current point is not reported.
+	IterationLimit
 )
 
 func (s Status) String() string {
@@ -51,6 +55,8 @@ func (s Status) String() string {
 		return "infeasible"
 	case Unbounded:
 		return "unbounded"
+	case IterationLimit:
+		return "iteration-limit"
 	default:
 		return fmt.Sprintf("status(%d)", int(s))
 	}
@@ -80,6 +86,11 @@ type Result struct {
 	X []float64
 	// Value is Objective·X when Status == Optimal.
 	Value float64
+	// Dual holds one multiplier per constraint when Status == Optimal: the
+	// optimal solution y of the dual LP, y = c_B·B⁻¹ over the original rows.
+	// Signs follow the maximization convention: y_i >= 0 on LE rows,
+	// y_i <= 0 on GE rows, free on EQ rows, and Σ RHS_i·y_i == Value.
+	Dual []float64
 }
 
 const (
@@ -87,11 +98,14 @@ const (
 	// feasEps is the looser tolerance for phase-1 residuals and pivot
 	// eligibility, where accumulated pivoting noise exceeds eps.
 	feasEps = geom.FeasEps
-	// maxIter bounds simplex iterations; beyond blandAfter iterations the
-	// pivot rule switches to Bland's rule, which cannot cycle.
-	maxIter    = 20000
+	// blandAfter is the iteration past which the pivot rule switches to
+	// Bland's rule, which cannot cycle.
 	blandAfter = 2000
 )
+
+// maxIter bounds simplex iterations per phase; a solve that reaches it
+// reports IterationLimit. A variable only so tests can force the limit.
+var maxIter = 20000
 
 // solveHook, when set, observes and may mutate every Solve result before it
 // is returned. It exists solely so the fault-injection chaos tests
@@ -204,6 +218,7 @@ func solve(p Problem) (Result, int) {
 	nArt := 0
 	rhs := floats(&s.rhs, m)
 	rel := rels(&s.rel, m)
+	negated := bools(&s.negated, m)
 	for i, c := range p.Constraints {
 		a := arena[i*nStd : (i+1)*nStd]
 		expandInto(a, c.Coef)
@@ -220,6 +235,7 @@ func solve(p Problem) (Result, int) {
 			case GE:
 				rl = LE
 			}
+			negated[i] = true
 		}
 		rhs[i], rel[i] = r, rl
 		switch rl {
@@ -268,6 +284,11 @@ func solve(p Problem) (Result, int) {
 			artAt++
 		}
 	}
+	// The initial basis is the identity, and every pivot is a row operation
+	// on the whole tableau, so column initBasis[i] ends up holding B⁻¹·e_i:
+	// that is where the dual multipliers are read from.
+	initBasis := ints(&s.initBasis, m)
+	copy(initBasis, basis)
 
 	// Phase 1: minimize sum of artificials == maximize -(sum of artificials).
 	iters := 0
@@ -285,9 +306,12 @@ func solve(p Problem) (Result, int) {
 				addRow(obj, t[i], 1)
 			}
 		}
-		ok, n := simplexIterate(t, basis, total, m)
+		st, n := simplexIterate(t, basis, total, m)
 		iters += n
-		if !ok {
+		switch st {
+		case IterationLimit:
+			return Result{Status: IterationLimit}, iters
+		case Unbounded:
 			// Phase 1 of a bounded-below objective cannot be unbounded, but be
 			// defensive anyway.
 			return Result{Status: Infeasible}, iters
@@ -350,20 +374,21 @@ func solve(p Problem) (Result, int) {
 		}
 	}
 
-	ok, n := simplexIterate(t, basis, total, m)
+	st, n := simplexIterate(t, basis, total, m)
 	iters += n
-	if !ok {
-		return Result{Status: Unbounded}, iters
+	if st != Optimal {
+		return Result{Status: st}, iters
 	}
 
-	// Extract solution.
+	// Extract solution. X and Dual share one allocation.
 	xStd := floats(&s.xStd, nStd)
 	for i, b := range basis {
 		if b < nStd {
 			xStd[b] = t[i][total]
 		}
 	}
-	x := make([]float64, nOrig)
+	out := make([]float64, nOrig+m)
+	x, dual := out[:nOrig:nOrig], out[nOrig:]
 	for i := 0; i < nOrig; i++ {
 		x[i] = xStd[i]
 		if negCol[i] >= 0 {
@@ -374,7 +399,22 @@ func solve(p Problem) (Result, int) {
 	for i, c := range p.Objective {
 		val += c * x[i]
 	}
-	return Result{Status: Optimal, X: x, Value: val}, iters
+	// y = c_B·B⁻¹: row i's multiplier dots the basic costs (zero for slack
+	// and artificial columns) with B⁻¹'s column i. A row the solver negated
+	// to make its RHS nonnegative gets its multiplier negated back.
+	for i, col := range initBasis {
+		y := 0.0
+		for r, b := range basis {
+			if b < nStd {
+				y += cExp[b] * t[r][col]
+			}
+		}
+		if negated[i] {
+			y = -y
+		}
+		dual[i] = y
+	}
+	return Result{Status: Optimal, X: x, Value: val, Dual: dual}, iters
 }
 
 // addRow does dst += f * src over the full tableau width.
@@ -408,10 +448,10 @@ func pivot(t [][]float64, basis []int, row, col, total, m int) {
 	basis[row] = col
 }
 
-// simplexIterate runs primal simplex on the tableau until optimal or
-// unbounded, also reporting how many pivot iterations it ran. Returns
-// ok=false on unboundedness.
-func simplexIterate(t [][]float64, basis []int, total, m int) (bool, int) {
+// simplexIterate runs primal simplex on the tableau until it is optimal or
+// unbounded or maxIter pivots have run, reporting which (Optimal, Unbounded
+// or IterationLimit) and how many pivot iterations it ran.
+func simplexIterate(t [][]float64, basis []int, total, m int) (Status, int) {
 	obj := t[m]
 	for iter := 0; iter < maxIter; iter++ {
 		bland := iter >= blandAfter
@@ -429,7 +469,7 @@ func simplexIterate(t [][]float64, basis []int, total, m int) (bool, int) {
 			}
 		}
 		if col < 0 {
-			return true, iter // optimal
+			return Optimal, iter
 		}
 		// Ratio test.
 		row := -1
@@ -445,10 +485,9 @@ func simplexIterate(t [][]float64, basis []int, total, m int) (bool, int) {
 			}
 		}
 		if row < 0 {
-			return false, iter // unbounded
+			return Unbounded, iter
 		}
 		pivot(t, basis, row, col, total, m)
 	}
-	// Iteration limit: treat the current (feasible) point as optimal enough.
-	return true, maxIter
+	return IterationLimit, maxIter
 }

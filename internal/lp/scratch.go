@@ -5,22 +5,24 @@ import "sync"
 // scratch holds every intermediate buffer one solve needs: the expanded
 // constraint rows, the dense tableau, the basis bookkeeping and the solution
 // staging area. Solves check buffers out of a sync.Pool and return them on
-// exit, so steady-state solving allocates only the Result.X slice handed to
-// the caller (PR 10's zero-alloc simplex layer; see BenchmarkSolve and
-// TestSolveAllocs). Reused memory is explicitly re-zeroed to the state a
+// exit, so steady-state solving allocates only the one slice that backs
+// Result.X and Result.Dual (the zero-alloc simplex layer; see BenchmarkSolve
+// and TestSolveAllocs). Reused memory is explicitly re-zeroed to the state a
 // fresh make would give, so the pivot sequence — and therefore every Result
 // and traced iteration count — is bit-identical to the allocating solver
 // this replaced.
 type scratch struct {
-	negCol   []int
-	basis    []int
-	rhs      []float64
-	rel      []Relation
-	rowArena []float64 // m expanded constraint rows + the expanded objective
-	tabBuf   []float64 // flat (m+1) x (total+1) tableau backing
-	tab      [][]float64
-	artCols  []bool
-	xStd     []float64
+	negCol    []int
+	basis     []int
+	rhs       []float64
+	rel       []Relation
+	negated   []bool    // rows multiplied by −1 to make their RHS nonnegative
+	initBasis []int     // each row's column in the initial (identity) basis
+	rowArena  []float64 // m expanded constraint rows + the expanded objective
+	tabBuf    []float64 // flat (m+1) x (total+1) tableau backing
+	tab       [][]float64
+	artCols   []bool
+	xStd      []float64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
