@@ -223,7 +223,9 @@ func BenchmarkSweepPartitioning(b *testing.B) {
 	}
 }
 
-// BenchmarkOracleTopK measures the ranking helper used by every stopping
+// BenchmarkOracleTopK measures the top-k selection that seeds every
+// Lemma 5.5 stopping check: n utilities and a bounded heap of k, on 10,000
+// points with k = 50. BenchmarkStopCheck in internal/core times a whole
 // check.
 func BenchmarkOracleTopK(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))

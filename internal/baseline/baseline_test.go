@@ -14,16 +14,6 @@ var paperPoints = []geom.Vector{
 	{0, 1}, {0.3, 0.7}, {0.5, 0.8}, {0.7, 0.4}, {1, 0},
 }
 
-// epsFor computes the paper's adapted threshold ε = 1 − f(p_k)/f(p₁).
-func epsFor(points []geom.Vector, u geom.Vector, k int) float64 {
-	f1 := u.Dot(points[oracle.TopK(points, u, 1)[0]])
-	fk := oracle.KthUtility(points, u, k)
-	if f1 <= 0 {
-		return 0
-	}
-	return 1 - fk/f1
-}
-
 func TestMedianFindsTop1(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 40; trial++ {
@@ -88,7 +78,7 @@ func TestUHVariantsCorrectness(t *testing.T) {
 		ds := dataset.AntiCorrelated(rng, n, d)
 		band := skyband.Filter(ds.Points, skyband.KSkyband(ds.Points, k))
 		u := oracle.RandomUtility(rng, d)
-		eps := epsFor(band, u, k)
+		eps := oracle.EpsilonForTopK(band, u, k)
 		for _, alg := range []*UH{
 			{Simplex: false, Eps: eps, Rng: rand.New(rand.NewSource(int64(trial)))},
 			{Simplex: true, Eps: eps, Rng: rand.New(rand.NewSource(int64(trial)))},
@@ -129,7 +119,7 @@ func TestUtilityApproxCorrectness(t *testing.T) {
 		ds := dataset.AntiCorrelated(rng, n, d)
 		band := skyband.Filter(ds.Points, skyband.KSkyband(ds.Points, k))
 		u := oracle.RandomUtility(rng, d)
-		eps := epsFor(band, u, k)
+		eps := oracle.EpsilonForTopK(band, u, k)
 		alg := &UtilityApprox{Eps: eps}
 		user := oracle.NewUser(u)
 		got := alg.Run(band, k, user)

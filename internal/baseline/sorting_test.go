@@ -18,7 +18,7 @@ func TestSortingUHCorrectness(t *testing.T) {
 		ds := dataset.AntiCorrelated(rng, n, d)
 		band := skyband.Filter(ds.Points, skyband.KSkyband(ds.Points, k))
 		u := oracle.RandomUtility(rng, d)
-		eps := epsFor(band, u, k)
+		eps := oracle.EpsilonForTopK(band, u, k)
 		for _, alg := range []*SortingUH{
 			{Eps: eps, Rng: rand.New(rand.NewSource(int64(trial)))},
 			{Simplex: true, Eps: eps, Rng: rand.New(rand.NewSource(int64(trial)))},
@@ -48,7 +48,7 @@ func TestSortingFewerDisplayRoundsThanUHQuestions(t *testing.T) {
 	var sortRounds, sortPairwise, uhQuestions int
 	for trial := 0; trial < trials; trial++ {
 		u := oracle.RandomUtility(rng, 3)
-		eps := epsFor(band, u, k)
+		eps := oracle.EpsilonForTopK(band, u, k)
 
 		su := oracle.NewUser(u)
 		sorting := &SortingUH{Eps: eps, DisplaySize: 4, Rng: rand.New(rand.NewSource(int64(trial)))}
@@ -77,7 +77,7 @@ func TestSortingDisplaySizeTwoDegeneratesToUH(t *testing.T) {
 	band := skyband.Filter(ds.Points, skyband.KSkyband(ds.Points, k))
 	u := oracle.RandomUtility(rng, 3)
 	user := oracle.NewUser(u)
-	alg := &SortingUH{Eps: epsFor(band, u, k), DisplaySize: 2, Rng: rand.New(rand.NewSource(1))}
+	alg := &SortingUH{Eps: oracle.EpsilonForTopK(band, u, k), DisplaySize: 2, Rng: rand.New(rand.NewSource(1))}
 	got := alg.Run(band, k, user)
 	if !oracle.IsTopK(band, u, k, band[got]) {
 		t.Fatal("s=2 run incorrect")

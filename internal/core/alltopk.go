@@ -17,25 +17,6 @@ import (
 // refines its partitioning with deeper convex-point layers (the V_d set)
 // once a single partition remains.
 
-// lemma55Multi returns up to want point indices that are guaranteed top-k
-// w.r.t. every utility vector of the region spanned by rVerts, and whether
-// at least want such points exist among the probe's top-k candidates.
-func lemma55Multi(points []geom.Vector, k int, rVerts []geom.Vector, probe geom.Vector, want int) ([]int, bool) {
-	if len(rVerts) == 0 {
-		return nil, false
-	}
-	var qualified []int
-	for _, i := range oracle.TopK(points, probe, k) {
-		if countPossibleBeaters(points, i, rVerts, k) < k {
-			qualified = append(qualified, i)
-			if len(qualified) >= want {
-				return qualified, true
-			}
-		}
-	}
-	return qualified, false
-}
-
 // RHMulti is RH with the modified stopping condition (RH-AllTopK /
 // RH-SomeTopK of Section 6.5).
 type RHMulti struct {
@@ -90,6 +71,7 @@ func (a *RHMulti) runMulti(points []geom.Vector, k, want int, o oracle.Oracle, t
 	perm := rng.Perm(n)
 
 	strat := a.opt.strategy()
+	var stop stopScratch
 
 	i := 1
 	for {
@@ -107,7 +89,7 @@ func (a *RHMulti) runMulti(points []geom.Vector, k, want int, o oracle.Oracle, t
 		}
 		probe := R.Sample(rng)
 		tr.observe(probe, verts)
-		res, resOK := lemma55Multi(points, k, verts, probe, want)
+		res, resOK := stop.lemma55Multi(points, k, verts, probe, want)
 		tr.stopCheck(resOK)
 		if resOK {
 			tr.finish(true, StopConverged, verts)
@@ -234,6 +216,7 @@ func (a *HDPIMulti) runMulti(points []geom.Vector, k, want int, o oracle.Oracle,
 	hd := &HDPI{opt: a.opt}
 	C := hd.buildPartitions(points, V, d, tr)
 	gamma := newGammaTable(points, V, C, a.opt)
+	var stop stopScratch
 
 	// bestEffort answers from whatever region survives; certified=false
 	// because the refinement could not finish (degenerate geometry, erring
@@ -262,7 +245,7 @@ func (a *HDPIMulti) runMulti(points []geom.Vector, k, want int, o oracle.Oracle,
 		verts := allVertices(C)
 		probe := C[rng.Intn(len(C))].poly.Sample(rng)
 		tr.observe(probe, verts)
-		res, resOK := lemma55Multi(points, k, verts, probe, want)
+		res, resOK := stop.lemma55Multi(points, k, verts, probe, want)
 		tr.stopCheck(resOK)
 		if resOK {
 			tr.finish(true, StopConverged, verts)

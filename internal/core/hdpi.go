@@ -171,6 +171,7 @@ func (a *HDPI) run(points []geom.Vector, k int, o oracle.Oracle, tr *tracker) in
 	round := 0
 	stopEvery := a.opt.StopCheckEvery
 	lastProbe := uniformUtility(d)
+	var stop stopScratch
 	for {
 		// Stopping condition 1: a single partition left.
 		if len(C) == 1 {
@@ -191,7 +192,7 @@ func (a *HDPI) run(points []geom.Vector, k int, o oracle.Oracle, tr *tracker) in
 			probe := C[rng.Intn(len(C))].poly.Sample(rng)
 			lastProbe = probe
 			tr.observe(probe, verts)
-			p, ok := lemma55(points, k, verts, probe)
+			p, ok := stop.lemma55(points, k, verts, probe)
 			tr.stopCheck(ok)
 			if ok {
 				tr.finish(true, StopConverged, verts)

@@ -103,6 +103,7 @@ func (a *RH) run(points []geom.Vector, k int, o oracle.Oracle, tr *tracker) int 
 
 	strat := a.opt.strategy()
 	stopEvery := a.opt.StopCheckEvery
+	var stop stopScratch
 
 	i := 1 // current ladder position: H_i holds hyperplanes (perm[i], perm[j<i])
 	round := 0
@@ -124,7 +125,7 @@ func (a *RH) run(points []geom.Vector, k int, o oracle.Oracle, tr *tracker) int 
 			}
 			probe := R.Sample(rng)
 			tr.observe(probe, verts)
-			p, ok := lemma55(points, k, verts, probe)
+			p, ok := stop.lemma55(points, k, verts, probe)
 			tr.stopCheck(ok)
 			if ok {
 				tr.finish(true, StopConverged, verts)

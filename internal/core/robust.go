@@ -146,6 +146,7 @@ func (a *RobustHDPI) run(points []geom.Vector, k int, o oracle.Oracle, tr *track
 		centers[i] = part.poly.Center()
 	}
 	gamma := buildGamma(points, V)
+	var stop stopScratch
 
 	// credible returns the smallest set of cells (by descending weight)
 	// holding at least a Confidence fraction of the total weight — the
@@ -192,7 +193,7 @@ func (a *RobustHDPI) run(points []geom.Vector, k int, o oracle.Oracle, tr *track
 		}
 		probe = probe.Scale(1 / wsum)
 		tr.observe(probe, nil)
-		p, ok := lemma55(points, k, verts, probe)
+		p, ok := stop.lemma55(points, k, verts, probe)
 		tr.stopCheck(ok)
 		if ok {
 			return p, verts, true

@@ -1,9 +1,24 @@
 package core
 
 import (
+	"math"
+	"slices"
+
 	"ist/internal/geom"
 	"ist/internal/oracle"
 )
+
+// stopScratch is one run's working memory for stopping condition 2
+// (Lemma 5.5). Its buffers grow to the largest check of the run, so after
+// the first round a check allocates nothing.
+type stopScratch struct {
+	rank  oracle.Ranker
+	base  []float64 // base[c·|V|+vi] = rVerts[vi]·points[cand[c]]
+	beat  []int     // beaters found so far, per candidate
+	live  []int     // candidates below k beaters, in top-k order
+	floor []float64 // floor[vi] = the lowest live base at rVerts[vi]
+	vu    []float64 // rVerts[vi]·p_j for the point being scanned
+}
 
 // lemma55 implements stopping condition 2 (Lemma 5.5): given the vertices of
 // the current utility range R and a probe utility vector u inside R, it
@@ -13,44 +28,135 @@ import (
 // above the hyperplane h_{j,i}; if fewer than k points can displace p_i,
 // p_i is certainly top-k.
 //
-// It returns the qualifying point's index and true, or (0, false).
-func lemma55(points []geom.Vector, k int, rVerts []geom.Vector, probe geom.Vector) (int, bool) {
-	if len(rVerts) == 0 {
-		return 0, false
-	}
-	for _, i := range oracle.TopK(points, probe, k) {
-		if countPossibleBeaters(points, i, rVerts, k) < k {
-			return i, true
-		}
+// It returns the first qualifying candidate in top-k order and true, or
+// (0, false).
+func (s *stopScratch) lemma55(points []geom.Vector, k int, rVerts []geom.Vector, probe geom.Vector) (int, bool) {
+	if q := s.qualify(points, k, rVerts, probe, 1); q != nil {
+		return q[0], true
 	}
 	return 0, false
 }
 
-// countPossibleBeaters counts points that strictly beat points[i] somewhere
-// in the region spanned by rVerts, stopping early at limit.
-func countPossibleBeaters(points []geom.Vector, i int, rVerts []geom.Vector, limit int) int {
-	pi := points[i]
-	// Pre-compute the utility of p_i at every region vertex once.
-	base := make([]float64, len(rVerts))
-	for vi, v := range rVerts {
-		base[vi] = v.Dot(pi)
+// lemma55Multi returns want point indices that are guaranteed top-k w.r.t.
+// every utility vector of the region spanned by rVerts (the first want
+// qualifying candidates in top-k order) and true, or (nil, false) when
+// fewer than want qualify.
+func (s *stopScratch) lemma55Multi(points []geom.Vector, k int, rVerts []geom.Vector, probe geom.Vector, want int) ([]int, bool) {
+	q := s.qualify(points, k, rVerts, probe, want)
+	return slices.Clone(q), q != nil
+}
+
+// qualify is the Lemma 5.5 kernel. The candidates are the top-k w.r.t. the
+// probe; one pass over the points counts, for every candidate still live,
+// the points that beat it at some vertex of R (v·p_j > v·p_i + Eps). The
+// vertex utilities of p_j are computed once, lazily, and shared by every
+// candidate, and a point that stays under the live candidates' floor at
+// every vertex is skipped after those comparisons alone. A candidate
+// retires at its k-th beater, and the pass ends early once fewer than want
+// candidates are live. A candidate's capped count does not depend on the
+// scan order, so the first want survivors in top-k order are exactly the
+// points a candidate-by-candidate check accepts. It returns them (in s's
+// memory, valid until the next check), or nil when fewer than want (at
+// least 1) qualify.
+func (s *stopScratch) qualify(points []geom.Vector, k int, rVerts []geom.Vector, probe geom.Vector, want int) []int {
+	if len(rVerts) == 0 {
+		return nil
 	}
-	count := 0
+	want = max(want, 1)
+	cand := s.rank.TopK(points, probe, k)
+	if len(cand) < want {
+		return nil
+	}
+	nv := len(rVerts)
+	s.base = grow(s.base, len(cand)*nv)
+	s.beat = grow(s.beat, len(cand))
+	s.vu = grow(s.vu, nv)
+	s.floor = grow(s.floor, nv)
+	live := s.live[:0]
+	for c, i := range cand {
+		b := s.base[c*nv : (c+1)*nv]
+		for vi, v := range rVerts {
+			b[vi] = v.Dot(points[i])
+		}
+		s.beat[c] = 0
+		live = append(live, c)
+	}
+	s.setFloor(live, nv)
 	for j, pj := range points {
-		if j == i {
+		if len(live) < want {
+			break
+		}
+		// p_j can beat a live candidate only at a vertex where it rises
+		// above the floor; most points rise nowhere once R is small.
+		known, above := 0, false // s.vu[:known] holds rVerts[:known]·p_j
+		for known < nv && !above {
+			s.vu[known] = rVerts[known].Dot(pj)
+			above = s.vu[known] > s.floor[known]+geom.Eps
+			known++
+		}
+		if !above {
 			continue
 		}
-		for vi, v := range rVerts {
-			if v.Dot(pj) > base[vi]+geom.Eps {
-				count++
-				break
+		kept := live[:0]
+		for _, c := range live {
+			if cand[c] != j {
+				b := s.base[c*nv : (c+1)*nv]
+				for vi := range b {
+					if vi == known {
+						s.vu[vi] = rVerts[vi].Dot(pj)
+						known++
+					}
+					if s.vu[vi] > b[vi]+geom.Eps {
+						s.beat[c]++
+						break
+					}
+				}
+				if s.beat[c] >= k {
+					continue
+				}
+			}
+			kept = append(kept, c)
+		}
+		if len(kept) < len(live) {
+			s.setFloor(kept, nv)
+		}
+		live = kept
+	}
+	s.live = live
+	if len(live) < want {
+		return nil
+	}
+	// The answer overwrites the survivors' candidate positions in place.
+	out := live[:want]
+	for x, c := range out {
+		out[x] = cand[c]
+	}
+	return out
+}
+
+// setFloor sets s.floor to the lowest base of the live candidates at each
+// vertex. Rounding is monotone, so v·p_j ≤ floor + Eps implies
+// v·p_j ≤ base + Eps for every live candidate: skipping such a point
+// changes no count.
+func (s *stopScratch) setFloor(live []int, nv int) {
+	for vi := range s.floor {
+		s.floor[vi] = math.Inf(1)
+	}
+	for _, c := range live {
+		for vi, b := range s.base[c*nv : (c+1)*nv] {
+			if b < s.floor[vi] {
+				s.floor[vi] = b
 			}
 		}
-		if count >= limit {
-			return count
-		}
 	}
-	return count
+}
+
+// grow returns buf resized to n, reallocating only when it is too small.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // argmaxAt returns the index of the highest-utility point w.r.t. u.

@@ -203,7 +203,7 @@ func measure(points []geom.Vector, k int, spec AlgSpec, cfg Config) measurement 
 	for trial := 0; trial < cfg.Trials; trial++ {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(trial)*7919))
 		u := oracle.RandomUtility(rng, d)
-		eps := epsilonForTopK(points, u, k)
+		eps := oracle.EpsilonForTopK(points, u, k)
 		alg := spec.Make(cfg.Seed+int64(trial), eps)
 		user := oracle.NewUser(u)
 		start := time.Now()
@@ -217,18 +217,6 @@ func measure(points []geom.Vector, k int, spec AlgSpec, cfg Config) measurement 
 	m.Seconds /= f
 	m.Accuracy /= f
 	return m
-}
-
-// epsilonForTopK is ε = 1 − f(p_k)/f(p₁) (the Section 6 adaptation).
-func epsilonForTopK(points []geom.Vector, u geom.Vector, k int) float64 {
-	if len(points) == 0 {
-		return 0
-	}
-	f1 := u.Dot(points[oracle.TopK(points, u, 1)[0]])
-	if f1 <= 0 {
-		return 0
-	}
-	return 1 - oracle.KthUtility(points, u, k)/f1
 }
 
 // buildDataset creates a named dataset under the config's seed.

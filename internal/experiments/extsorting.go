@@ -31,7 +31,7 @@ func ExtSorting(cfg Config) *Table {
 			for trial := 0; trial < cfg.Trials; trial++ {
 				rng := rand.New(rand.NewSource(cfg.Seed + int64(trial)*7919))
 				u := oracle.RandomUtility(rng, cfg.D)
-				eps := epsilonForTopK(band, u, k)
+				eps := oracle.EpsilonForTopK(band, u, k)
 				alg := &baseline.SortingUH{
 					Simplex: v.simplex, Eps: eps, DisplaySize: 4,
 					Rng: rand.New(rand.NewSource(cfg.Seed + int64(trial))),
@@ -61,7 +61,7 @@ func ExtSorting(cfg Config) *Table {
 		for trial := 0; trial < cfg.Trials; trial++ {
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(trial)*7919))
 			u := oracle.RandomUtility(rng, cfg.D)
-			eps := epsilonForTopK(band, u, k)
+			eps := oracle.EpsilonForTopK(band, u, k)
 			user := oracle.NewUser(u)
 			(&baseline.UH{Eps: eps, Rng: rand.New(rand.NewSource(cfg.Seed + int64(trial)))}).Run(band, k, user)
 			pw += float64(user.Questions())

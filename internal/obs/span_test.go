@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -294,6 +295,71 @@ func TestSpanStoreBounds(t *testing.T) {
 	}
 }
 
+// TestSpanStoreChunks stores traces that span several chunks, or part of
+// one: every span comes back in arrival order, the listing covers all of
+// them, the per-trace cap still applies mid-chunk, no trace holds a
+// chunk's worth of unused slots, and a short trace no more than twice its
+// spans.
+func TestSpanStoreChunks(t *testing.T) {
+	for _, c := range []struct{ children, maxSpans int }{
+		{2*spanChunk + 5, 0}, {2*spanChunk + 5, spanChunk + 3}, {spanChunk, 0}, {2, 0}, {4, 0}, {8, 0},
+	} {
+		children, maxSpans := c.children, c.maxSpans
+		store := NewSpanStore(4, maxSpans)
+		tr, clk := testTracer(store, 8)
+		t0 := clk.Now()
+		root := tr.Start("session")
+		var want []SpanID
+		for j := 0; j < children; j++ {
+			clk.Advance(time.Millisecond)
+			q := tr.Start("q", ChildOf(root))
+			want = append(want, q.Context().Span)
+			q.End()
+		}
+		clk.Advance(time.Millisecond)
+		root.End()
+		want = append(want, root.Context().Span)
+
+		kept := len(want)
+		if maxSpans > 0 {
+			kept = maxSpans
+		}
+		spans, dropped := store.Trace(root.TraceID())
+		if len(spans) != kept || dropped != len(want)-kept {
+			t.Fatalf("maxSpans %d: kept %d spans, dropped %d; want %d and %d", maxSpans, len(spans), dropped, kept, len(want)-kept)
+		}
+		for i, d := range spans {
+			if d.ID != want[i] {
+				t.Fatalf("maxSpans %d: span %d is %s, want %s (arrival order)", maxSpans, i, d.ID, want[i])
+			}
+		}
+		first, last := spans[0].Start, spans[0].End
+		for _, d := range spans {
+			if d.Start.Before(first) {
+				first = d.Start
+			}
+			if d.End.After(last) {
+				last = d.End
+			}
+		}
+		sums := store.Traces()
+		if len(sums) != 1 || sums[0].Spans != kept || !sums[0].Start.Equal(first) || !sums[0].End.Equal(last) {
+			t.Fatalf("maxSpans %d: listing %+v, want %d spans from %v to %v", maxSpans, sums, kept, first, last)
+		}
+		if maxSpans == 0 && (sums[0].Root != "session" || !first.Equal(t0)) {
+			t.Fatalf("listing %+v: want the session root, starting at %v", sums[0], t0)
+		}
+		e := store.traces[root.TraceID()]
+		slots := 0
+		for _, c := range e.chunks {
+			slots += cap(c)
+		}
+		if slots-e.n >= spanChunk || (e.n < spanChunk && slots > 2*e.n) {
+			t.Fatalf("%d children, maxSpans %d: %d slots for %d spans", children, maxSpans, slots, e.n)
+		}
+	}
+}
+
 func TestBuildTreeOrphans(t *testing.T) {
 	tr, _ := testTracer(nil, 7)
 	root := tr.Start("root")
@@ -417,6 +483,58 @@ func TestSpanObserverAssemblesTree(t *testing.T) {
 	// Question 0 spans compute + think time: it closes when its answer lands.
 	if got := q0.Duration(); got != time.Second {
 		t.Errorf("question 0 lasted %s, want the 1s think time", got)
+	}
+}
+
+// TestSpanObserverStopCheckSpans: an RH-shaped dialogue, whose compute is
+// stopping-rule checks and cuts with no LP solve, shows each stop check as
+// a point span under the question it computed toward, with its outcome.
+func TestSpanObserverStopCheckSpans(t *testing.T) {
+	store := NewSpanStore(0, 0)
+	tr, fake := testTracer(store, 11)
+	root := tr.Start("session")
+	so := NewSpanObserver(tr, root)
+
+	// Question 0: a failed check opens the span.
+	so.Event(Event{Kind: KindStopConditionCheck, OK: false})
+	so.Event(Event{Kind: KindQuestionAsked, I: 1, J: 2})
+	fake.Advance(time.Second)
+	so.Event(Event{Kind: KindAnswerReceived, Answer: true})
+	// The answer's cut, then the check that certifies: the tail.
+	so.Event(Event{Kind: KindHalfspaceCut, Status: "intersect", Before: 4, After: 5})
+	so.Event(Event{Kind: KindStopConditionCheck, OK: true})
+	so.Finish()
+	root.End()
+
+	spans, _ := store.Trace(root.TraceID())
+	forest := BuildTree(spans)
+	if len(forest) != 1 {
+		t.Fatalf("forest = %+v, want the session span", forest)
+	}
+	qs := forest[0].Children
+	if len(qs) != 2 || qs[0].Name != "question" || qs[1].Name != "question" {
+		t.Fatalf("session children = %v, want question 0 and the tail", qs)
+	}
+	wantChildren := [][]string{{"stop-check"}, {"halfspace-cut", "stop-check"}}
+	wantCertified := []string{"false", "true"}
+	for qi, q := range qs {
+		var names []string
+		for _, c := range q.Children {
+			names = append(names, c.Name)
+		}
+		if !slices.Equal(names, wantChildren[qi]) {
+			t.Fatalf("question %d children = %v, want %v", qi, names, wantChildren[qi])
+		}
+		check := q.Children[len(q.Children)-1]
+		if check.Attr("certified") != wantCertified[qi] {
+			t.Errorf("question %d stop-check certified = %q, want %q", qi, check.Attr("certified"), wantCertified[qi])
+		}
+		if check.Duration() != 0 {
+			t.Errorf("question %d stop-check lasted %s, want a point span", qi, check.Duration())
+		}
+	}
+	if qs[0].Attr("i") != "1" || qs[1].Attr("final") != "true" {
+		t.Errorf("question attrs = %v / %v", qs[0].Attrs, qs[1].Attrs)
 	}
 }
 

@@ -10,10 +10,11 @@ package obs
 // that the previous answer triggered) and closes when the question's answer
 // arrives (or the session finishes). Each question span therefore reads as
 // "compute + user think time for this question", and the phase spans that
-// produced it — LP solves, halfspace cuts, prunes, degradations — are its
-// children. LP solves carry a measured duration and are backdated with
-// StartAt so the waterfall shows where the time went, while cuts and prunes
-// are point spans (start == end) marking the moment.
+// produced it — LP solves, halfspace cuts, prunes, stopping-rule checks,
+// degradations — are its children. LP solves carry a measured duration and
+// are backdated with StartAt so the waterfall shows where the time went,
+// while cuts, prunes and stop checks are point spans (start == end) marking
+// the moment.
 //
 // The trailing compute after the LAST answer (the work that certifies the
 // result rather than surfacing another pair) opens one final question span
@@ -124,6 +125,11 @@ func (o *SpanObserver) Event(e Event) {
 	case KindCandidatePruned:
 		sp := o.tr.Start("prune", ChildOf(o.ensureLocked()), WithAttrs(
 			Attr{"count", strconv.Itoa(e.Count)},
+		))
+		sp.EndAt(sp.start)
+	case KindStopConditionCheck:
+		sp := o.tr.Start("stop-check", ChildOf(o.ensureLocked()), WithAttrs(
+			Attr{"certified", strconv.FormatBool(e.OK)},
 		))
 		sp.EndAt(sp.start)
 	case KindDegradationStep:

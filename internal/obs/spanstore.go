@@ -26,10 +26,41 @@ const (
 	DefaultMaxSpansPerTrace = 2048
 )
 
+// spanChunk bounds a trace's unused span slots. One slice grown by append
+// doubles its capacity, so a store full of traces just past a power of two
+// would hold nearly twice the memory its spans need. A trace's first chunk
+// grows by append up to spanChunk spans (most traces are short); after
+// that, chunks of spanChunk spans are allocated whole.
+const spanChunk = 16
+
 type traceEntry struct {
-	spans   []SpanData
-	updated int64 // store-local tick of last append, for LRU eviction
-	dropped int   // spans discarded once the per-trace cap was hit
+	chunks  [][]SpanData // spans in arrival order; only the last chunk has room
+	n       int          // spans stored
+	updated int64        // store-local tick of last append, for LRU eviction
+	dropped int          // spans discarded once the per-trace cap was hit
+}
+
+func (e *traceEntry) add(d SpanData) {
+	last := len(e.chunks) - 1
+	switch {
+	case last < 0:
+		e.chunks = append(e.chunks, nil)
+		last = 0
+	case len(e.chunks[last]) == cap(e.chunks[last]) && cap(e.chunks[last]) >= spanChunk:
+		e.chunks = append(e.chunks, make([]SpanData, 0, spanChunk))
+		last++
+	}
+	e.chunks[last] = append(e.chunks[last], d)
+	e.n++
+}
+
+// spans returns a copy of the stored spans in arrival order.
+func (e *traceEntry) spans() []SpanData {
+	out := make([]SpanData, 0, e.n)
+	for _, c := range e.chunks {
+		out = append(out, c...)
+	}
+	return out
 }
 
 // SpanStore is a bounded in-memory span repository implementing SpanSink.
@@ -74,11 +105,11 @@ func (s *SpanStore) OnSpanEnd(d SpanData) {
 		s.traces[d.Trace] = e
 	}
 	e.updated = s.tick
-	if len(e.spans) >= s.maxSpans {
+	if e.n >= s.maxSpans {
 		e.dropped++
 		return
 	}
-	e.spans = append(e.spans, d)
+	e.add(d)
 }
 
 func (s *SpanStore) evictOldestLocked() {
@@ -112,16 +143,18 @@ func (s *SpanStore) Traces() []TraceSummary {
 	}
 	rows := make([]row, 0, len(s.traces))
 	for id, e := range s.traces {
-		sum := TraceSummary{Trace: id, Spans: len(e.spans), Dropped: e.dropped}
-		for i, sp := range e.spans {
-			if i == 0 || sp.Start.Before(sum.Start) {
-				sum.Start = sp.Start
-			}
-			if sp.End.After(sum.End) {
-				sum.End = sp.End
-			}
-			if sp.Parent.IsZero() {
-				sum.Root = sp.Name
+		sum := TraceSummary{Trace: id, Spans: e.n, Dropped: e.dropped}
+		for ci, c := range e.chunks {
+			for i, sp := range c {
+				if (ci == 0 && i == 0) || sp.Start.Before(sum.Start) {
+					sum.Start = sp.Start
+				}
+				if sp.End.After(sum.End) {
+					sum.End = sp.End
+				}
+				if sp.Parent.IsZero() {
+					sum.Root = sp.Name
+				}
 			}
 		}
 		rows = append(rows, row{sum, e.updated})
@@ -143,7 +176,7 @@ func (s *SpanStore) Trace(id TraceID) (spans []SpanData, dropped int) {
 	if e == nil {
 		return nil, 0
 	}
-	return append([]SpanData(nil), e.spans...), e.dropped
+	return e.spans(), e.dropped
 }
 
 // SpanNode is one node of an assembled span tree.

@@ -8,7 +8,6 @@ package oracle
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"ist/internal/geom"
 )
@@ -98,24 +97,106 @@ func RandomUtility(rng *rand.Rand, d int) geom.Vector {
 // TopK returns the indices of the k highest-utility points w.r.t. u,
 // best first. Ties are broken by index for determinism.
 func TopK(points []geom.Vector, u geom.Vector, k int) []int {
-	idx := make([]int, len(points))
-	for i := range idx {
-		idx[i] = i
+	var r Ranker
+	return r.TopK(points, u, k)
+}
+
+// Ranker selects top-k points and keeps its buffers between calls, so a
+// warm Ranker selects without allocating. The zero value is ready to use.
+type Ranker struct {
+	util []float64 // util[i] = u·points[i] from the last TopK call
+	top  []int
+}
+
+// TopK is the package-level TopK with the result in r's buffer, valid until
+// r's next call. It computes each utility once and keeps the k best in a
+// bounded heap: n dot products and O(n log k) comparisons. k is clamped to
+// [0, len(points)].
+func (r *Ranker) TopK(points []geom.Vector, u geom.Vector, k int) []int {
+	n := len(points)
+	k = max(0, min(k, n))
+	if cap(r.util) < n {
+		r.util = make([]float64, n)
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ua, ub := u.Dot(points[idx[a]]), u.Dot(points[idx[b]])
-		// An eps-based comparator is not transitive; sorting needs a strict
-		// weak order, so the ranking tie-break must compare exactly.
-		//lint:ignore floatcmp exact tie-break keeps the comparator a strict weak order
-		if ua != ub {
-			return ua > ub
+	r.util = r.util[:n]
+	for i, p := range points {
+		r.util[i] = u.Dot(p)
+	}
+	if r.top == nil || cap(r.top) < k {
+		r.top = make([]int, 0, k) // non-nil even for k = 0
+	}
+	// h is a heap with the worst selected point at its root.
+	h := r.top[:0]
+	for i := 0; i < n; i++ {
+		switch {
+		case len(h) < k:
+			h = append(h, i)
+			r.up(h, len(h)-1)
+		case k > 0 && r.worse(h[0], i):
+			h[0] = i
+			r.down(h, 0, k)
 		}
-		return idx[a] < idx[b]
-	})
-	if k > len(idx) {
-		k = len(idx)
 	}
-	return idx[:k]
+	// Heap sort: moving the root (the worst left) to the back leaves h
+	// best first.
+	for end := len(h) - 1; end > 0; end-- {
+		h[0], h[end] = h[end], h[0]
+		r.down(h, 0, end)
+	}
+	r.top = h
+	return h
+}
+
+// worse is the strict order TopK ranks by: point i ranks below point j if
+// its utility is lower, or equal with a higher index.
+func (r *Ranker) worse(i, j int) bool {
+	ui, uj := r.util[i], r.util[j]
+	// An eps-based comparison is not transitive; selection needs a strict
+	// weak order, so the ranking tie-break must compare exactly.
+	//lint:ignore floatcmp exact tie-break keeps the ranking a strict weak order
+	if ui != uj {
+		return ui < uj
+	}
+	return i > j
+}
+
+func (r *Ranker) up(h []int, c int) {
+	for c > 0 {
+		p := (c - 1) / 2
+		if !r.worse(h[c], h[p]) {
+			return
+		}
+		h[c], h[p] = h[p], h[c]
+		c = p
+	}
+}
+
+func (r *Ranker) down(h []int, p, n int) {
+	for {
+		c := 2*p + 1
+		if c >= n {
+			return
+		}
+		if c+1 < n && r.worse(h[c+1], h[c]) {
+			c++
+		}
+		if !r.worse(h[c], h[p]) {
+			return
+		}
+		h[c], h[p] = h[p], h[c]
+		p = c
+	}
+}
+
+// kth returns f(p₁) and f(p_k) w.r.t. u from one selection, with k clamped
+// to [1, len(points)]; both are 0 when there are no points.
+func kth(points []geom.Vector, u geom.Vector, k int) (f1, fk float64) {
+	var r Ranker
+	top := r.TopK(points, u, max(k, 1))
+	if len(top) == 0 {
+		return 0, 0
+	}
+	return r.util[top[0]], r.util[top[len(top)-1]]
 }
 
 // IsTopK reports whether point p (by value) has one of the k highest
@@ -135,17 +216,25 @@ func IsTopK(points []geom.Vector, u geom.Vector, k int, p geom.Vector) bool {
 	return true
 }
 
-// KthUtility returns the k-th largest utility among points w.r.t. u.
+// KthUtility returns the k-th largest utility among points w.r.t. u, with
+// k clamped to [1, len(points)]; it is 0 when there are no points.
 func KthUtility(points []geom.Vector, u geom.Vector, k int) float64 {
-	vals := make([]float64, len(points))
-	for i, p := range points {
-		vals[i] = u.Dot(p)
+	_, fk := kth(points, u, k)
+	return fk
+}
+
+// EpsilonForTopK is the paper's adapted regret threshold
+// ε = 1 − f(p_k)/f(p₁) (Section 6), read from one top-k selection with k
+// clamped as in KthUtility. It is how the experiments configure
+// UtilityApprox, UH-Random and UH-Simplex so that their regret-based
+// stopping implies a top-k answer. It is 0 when there are no points or
+// f(p₁) ≤ 0.
+func EpsilonForTopK(points []geom.Vector, u geom.Vector, k int) float64 {
+	f1, fk := kth(points, u, k)
+	if f1 <= 0 {
+		return 0
 	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(vals)))
-	if k > len(vals) {
-		k = len(vals)
-	}
-	return vals[k-1]
+	return 1 - fk/f1
 }
 
 // Accuracy is the paper's result-quality measure (Section 6.1, after [8,10]):

@@ -2,6 +2,8 @@ package skyband
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -132,6 +134,39 @@ func TestFilter(t *testing.T) {
 	got := Filter(pts, []int{2, 0})
 	if len(got) != 2 || got[0][0] != 3 || got[1][0] != 1 {
 		t.Fatalf("Filter = %v", got)
+	}
+}
+
+// TestFilterCopiesContiguously checks that Filter's points are copies with
+// the selected values, stored back to back in one block, each capped at
+// its own length.
+func TestFilterCopiesContiguously(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	pts := make([]geom.Vector, 50)
+	for i := range pts {
+		pts[i] = geom.Vector{rng.Float64(), rng.Float64(), rng.Float64()}
+	}
+	idx := []int{4, 9, 9, 17, 31, 49}
+	got := Filter(pts, idx)
+	if len(got) != len(idx) {
+		t.Fatalf("Filter kept %d points, want %d", len(got), len(idx))
+	}
+	for i, j := range idx {
+		if !slices.Equal(got[i], pts[j]) || cap(got[i]) != len(pts[j]) {
+			t.Fatalf("point %d = %v (cap %d), want %v (cap %d)", i, got[i], cap(got[i]), pts[j], len(pts[j]))
+		}
+		prev := reflect.ValueOf(got[max(i-1, 0)])
+		if i > 0 && reflect.ValueOf(got[i]).Pointer() != prev.Pointer()+uintptr(8*prev.Len()) {
+			t.Fatalf("point %d does not follow point %d in memory", i, i-1)
+		}
+	}
+	got[0][0] = -1
+	_ = append(got[1], 7) // a full copy: must not spill into got[2]
+	if pts[idx[0]][0] == -1 || got[2][0] != pts[idx[2]][0] {
+		t.Fatal("Filter's points share memory with the input or with each other")
+	}
+	if len(Filter(pts, nil)) != 0 {
+		t.Fatal("Filter of no indices is not empty")
 	}
 }
 

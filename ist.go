@@ -377,14 +377,7 @@ func NewActiveRanking(seed int64) Algorithm {
 // experiments configure UtilityApprox / UH-Random / UH-Simplex so that
 // their regret-based stopping implies a top-k answer (Section 6).
 func EpsilonForTopK(points []Point, u Point, k int) float64 {
-	if len(points) == 0 {
-		return 0
-	}
-	f1 := u.Dot(points[oracle.TopK(points, u, 1)[0]])
-	if f1 <= 0 {
-		return 0
-	}
-	return 1 - oracle.KthUtility(points, u, k)/f1
+	return oracle.EpsilonForTopK(points, u, k)
 }
 
 // Dataset generators (Section 6 workloads; see DESIGN.md for the real
