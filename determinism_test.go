@@ -11,12 +11,11 @@ import (
 	"ist/internal/obs"
 )
 
-// This file is the facade-level determinism regression suite for the
-// parallel interaction engine and the shared preprocessing cache (DESIGN.md
-// §14): for every algorithm, every worker count, and cold/warm cache states,
-// the full interactive transcript — every question, the result, the question
-// count — and the complete observer event stream must be bit-identical to
-// the serial, uncached run.
+// This file is the facade-level determinism regression suite for the shared
+// preprocessing cache (DESIGN.md §14.2): in cold and warm cache states, with
+// and without a question budget, the full interactive transcript — every
+// question, the result, the question count — and the complete observer event
+// stream must be bit-identical to the uncached run.
 
 // runTranscript drives alg through a full session against hidden, capturing
 // the question transcript and the raw event stream.
@@ -96,72 +95,10 @@ func sameRun(t *testing.T, name string, want, got runRecord) {
 	}
 }
 
-// TestParallelismTranscriptInvariant checks every algorithm x worker-count
-// combination against the serial baseline.
-func TestParallelismTranscriptInvariant(t *testing.T) {
-	freezeLPClockFacade(t)
-	rng := rand.New(rand.NewSource(11))
-	ds := AntiCorrelated(rng, 300, 5)
-	k := 3
-	band := Preprocess(ds.Points, k)
-	hidden := RandomUtility(rng, 5)
-
-	ds2 := AntiCorrelated(rand.New(rand.NewSource(11)), 300, 2)
-	band2 := Preprocess(ds2.Points, k)
-	hidden2 := RandomUtility(rng, 2)
-
-	cases := []struct {
-		name   string
-		make   func() Algorithm
-		band   []Point
-		hidden Point
-	}{
-		{"hdpi-accurate", func() Algorithm { return NewHDPIAccurate(5) }, band, hidden},
-		{"robust", func() Algorithm { return NewRobustHDPI(5) }, band, hidden},
-		{"rh", func() Algorithm { return NewRH(5) }, band, hidden},
-		{"2dpi", func() Algorithm { return NewTwoDPI() }, band2, hidden2},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			want := runTranscript(t, tc.make(), tc.band, k, tc.hidden, 0)
-			for _, workers := range []int{1, 2, 4, 8} {
-				alg := tc.make()
-				SetParallelism(alg, workers)
-				got := runTranscript(t, alg, tc.band, k, tc.hidden, 0)
-				sameRun(t, tc.name, want, got)
-			}
-		})
-	}
-}
-
-// TestParallelismBudgetExhaustionInvariant repeats the check under a
-// question budget tight enough to force the degradation ladder: the stop
-// probe sequence, the degradation events, and the uncertified outcome must
-// all match the serial engine exactly.
-func TestParallelismBudgetExhaustionInvariant(t *testing.T) {
-	freezeLPClockFacade(t)
-	rng := rand.New(rand.NewSource(13))
-	ds := AntiCorrelated(rng, 300, 5)
-	k := 3
-	band := Preprocess(ds.Points, k)
-	hidden := RandomUtility(rng, 5)
-
-	for _, budget := range []int{1, 3, 8} {
-		want := runTranscript(t, NewHDPIAccurate(5), band, k, hidden, budget)
-		for _, workers := range []int{2, 4, 8} {
-			alg := NewHDPIAccurate(5)
-			SetParallelism(alg, workers)
-			got := runTranscript(t, alg, band, k, hidden, budget)
-			sameRun(t, "budget", want, got)
-		}
-	}
-}
-
 // TestPrepCacheTranscriptInvariant checks the cache's taping contract at the
-// facade: a cold populate, a warm hit, and a parallel warm hit must all be
-// indistinguishable from an uncached run, and budgeted runs (which may only
-// Lookup, never populate) must be indistinguishable whether they hit or
-// miss the cache.
+// facade: a cold populate and a warm hit must both be indistinguishable from
+// an uncached run, and budgeted runs (which may only Lookup, never populate)
+// must be indistinguishable whether they hit or miss the cache.
 func TestPrepCacheTranscriptInvariant(t *testing.T) {
 	freezeLPClockFacade(t)
 	rng := rand.New(rand.NewSource(17))
@@ -189,12 +126,7 @@ func TestPrepCacheTranscriptInvariant(t *testing.T) {
 		t.Fatal("warm run did not hit the cache")
 	}
 
-	both := NewHDPIAccurate(5)
-	SetParallelism(both, 4)
-	UsePreprocessCache(both, cache, band, k)
-	sameRun(t, "parallel warm hit", want, runTranscript(t, both, band, k, hidden, 0))
-
-	// Budgeted: compare serial-uncached vs cached (warm) vs cached (cold,
+	// Budgeted: compare uncached vs cached (warm) vs cached (cold,
 	// where Lookup misses and the run computes locally without populating).
 	budget := 5
 	wantB := runTranscript(t, NewHDPIAccurate(5), band, k, hidden, budget)
@@ -227,8 +159,8 @@ func TestPreprocessCachedMatchesPreprocess(t *testing.T) {
 	if s := cache.Stats(); s.Hits == 0 || s.Misses == 0 {
 		t.Fatalf("unexpected cache stats %+v", s)
 	}
-	// Each call owns its slice (vectors alias the dataset, exactly like
-	// Preprocess): reordering one caller's band cannot disturb another's.
+	// Each call owns its band: reordering one caller's band cannot disturb
+	// another's.
 	cold[0], cold[1] = cold[1], cold[0]
 	again := PreprocessCached(cache, ds.Points, k)
 	if !reflect.DeepEqual(want, again) {

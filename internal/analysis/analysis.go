@@ -34,11 +34,10 @@
 //     wrappers of internal/obs, never by calling Observer.Event directly —
 //     the observer is nil on the uninstrumented fast path (PR 4), and the
 //     wrappers are where the observation-is-passive guarantee lives.
-//   - detpar: function literals that run concurrently (go statements, the
-//     task closures of internal/parallel) never mutate captured state
-//     without synchronization — the index-ordered-slot idiom is the only
-//     bare way results may leave a worker, which is what keeps parallel
-//     transcripts bit-identical to serial ones (DESIGN.md §14).
+//   - detpar: function literals run by go statements never mutate captured
+//     state without synchronization — the index-ordered-slot idiom is the
+//     only bare way results may leave a goroutine, so results never land in
+//     scheduling order.
 //
 // A diagnostic can be suppressed with a justifying directive on the same
 // line or the line immediately above:

@@ -5,17 +5,15 @@ import (
 	"go/types"
 )
 
-// DetParAnalyzer enforces the deterministic-parallelism contract of
-// internal/parallel (DESIGN.md §14): code that runs concurrently — a `go`
-// statement's function literal, or the task closure handed to parallel.Do /
-// parallel.ForEachOrdered — must not mutate state captured from the
-// enclosing scope without synchronization. An unsynchronized captured write
-// is a data race, and in this codebase a race is also a determinism bug: the
-// commit order of results decides the question transcript, and transcripts
-// must be bit-identical across worker counts for replay recovery to work.
+// DetParAnalyzer guards the goroutines of library code (the server, the
+// WAL, the experiments): a `go` statement's function literal must not mutate
+// state captured from the enclosing scope without synchronization. An
+// unsynchronized captured write is a data race, and in this codebase a race
+// is also a determinism bug: results that land in scheduling order would
+// make transcripts differ from run to run, and replay recovery needs them
+// bit-identical.
 //
-// Flagged inside a concurrent function literal (non-test, non-main
-// packages):
+// Flagged inside a `go` function literal (non-test, non-main packages):
 //
 //   - append to a captured slice (s = append(s, ...)) — the classic lost
 //     update; results land in nondeterministic order even when the race
@@ -25,20 +23,17 @@ import (
 //   - field writes on a captured value (s.f = v) when no index expression
 //     selects a per-task slot.
 //
-// Sanctioned, because they are the idioms the parallel package is built on:
+// Sanctioned, because they are the idioms of deterministic fan-out:
 //
-//   - index-ordered result slots: results[i] = ... where each task owns
-//     index i and a serial pass commits in order afterwards;
+//   - index-ordered result slots: results[i] = ... where each goroutine
+//     owns index i and a serial pass commits in order afterwards;
 //   - writes that happen after a mutex Lock call earlier in the literal
 //     (lock discipline itself is locksafe's job, not detpar's);
 //   - variables declared inside the literal, channel sends, and
 //     sync/atomic calls (none of which are assignment statements).
-//
-// The commit callback of ForEachOrdered runs serialized on the calling
-// goroutine and is exempt.
 var DetParAnalyzer = &Analyzer{
 	Name: "detpar",
-	Doc:  "flags unsynchronized captured-state mutation inside concurrently running function literals",
+	Doc:  "flags unsynchronized captured-state mutation inside go-statement function literals",
 	Run:  runDetPar,
 }
 
@@ -51,13 +46,8 @@ func runDetPar(pass *Pass) error {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.GoStmt:
-				if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-					checkConcurrentLit(pass, lit)
-				}
-			case *ast.CallExpr:
-				if lit := parallelTaskArg(pass, n); lit != nil {
+			if g, ok := n.(*ast.GoStmt); ok {
+				if lit, ok := g.Call.Fun.(*ast.FuncLit); ok {
 					checkConcurrentLit(pass, lit)
 				}
 			}
@@ -65,50 +55,6 @@ func runDetPar(pass *Pass) error {
 		})
 	}
 	return nil
-}
-
-// parallelTaskArg returns the function-literal task argument of a call to
-// internal/parallel's fan-out primitives (Do and ForEachOrdered both take the
-// concurrently-run task as their third argument), or nil. ForEachOrdered's
-// commit callback runs serialized and is deliberately not returned.
-func parallelTaskArg(pass *Pass, call *ast.CallExpr) *ast.FuncLit {
-	const taskArg = 2
-	var name string
-	switch fun := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		pkgPath, isPkg := packageOf(pass, fun)
-		if !isPkg || pkgPath != "ist/internal/parallel" {
-			return nil
-		}
-		name = fun.Sel.Name
-	case *ast.Ident:
-		if pass.PkgPath != "ist/internal/parallel" {
-			return nil
-		}
-		name = fun.Name
-	case *ast.IndexExpr: // explicit instantiation: parallel.ForEachOrdered[T](...)
-		if sel, ok := fun.X.(*ast.SelectorExpr); ok {
-			pkgPath, isPkg := packageOf(pass, sel)
-			if !isPkg || pkgPath != "ist/internal/parallel" {
-				return nil
-			}
-			name = sel.Sel.Name
-		} else if id, ok := fun.X.(*ast.Ident); ok && pass.PkgPath == "ist/internal/parallel" {
-			name = id.Name
-		} else {
-			return nil
-		}
-	default:
-		return nil
-	}
-	if name != "Do" && name != "ForEachOrdered" {
-		return nil
-	}
-	if len(call.Args) <= taskArg {
-		return nil
-	}
-	lit, _ := call.Args[taskArg].(*ast.FuncLit)
-	return lit
 }
 
 // checkConcurrentLit reports unsynchronized captured writes in lit's body

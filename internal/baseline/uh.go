@@ -5,7 +5,6 @@ import (
 
 	"ist/internal/geom"
 	"ist/internal/oracle"
-	"ist/internal/parallel"
 	"ist/internal/polytope"
 )
 
@@ -37,15 +36,7 @@ type UH struct {
 	// SamplesPerTest is the number of utility samples UH-Random uses per
 	// intersection test (default 12).
 	SamplesPerTest int
-	// Parallelism fans the R-domination prune over a worker pool. Each
-	// candidate's dominator count reads only the fixed snapshot (cur,
-	// verts), so any worker count keeps the kept set — and therefore every
-	// question and answer — identical to the serial scan. 0 or 1 is serial.
-	Parallelism int
 }
-
-// SetParallelism implements core.Parallelizable.
-func (a *UH) SetParallelism(workers int) { a.Parallelism = workers }
 
 // Name implements core.Algorithm.
 func (a *UH) Name() string {
@@ -83,13 +74,11 @@ func (a *UH) Run(points []geom.Vector, k int, o oracle.Oracle) int {
 			limit = k
 		}
 		verts := R.Vertices()
+		// Dominators are counted over the snapshot cur, so the filter does
+		// not see its own removals.
 		cur := append([]int(nil), alive...)
 		kept := alive[:0]
-		// Per-candidate keep decisions are independent scans over the cur
-		// snapshot; ForEachOrdered computes them in parallel and commits
-		// the appends in index order, so kept matches the serial filter.
-		parallel.ForEachOrdered(a.Parallelism, len(cur), func(ci int) bool {
-			i := cur[ci]
+		for _, i := range cur {
 			dominators := 0
 			for _, j := range cur {
 				if i == j {
@@ -102,12 +91,10 @@ func (a *UH) Run(points []geom.Vector, k int, o oracle.Oracle) int {
 					}
 				}
 			}
-			return dominators < limit
-		}, func(ci int, keep bool) {
-			if keep {
-				kept = append(kept, cur[ci])
+			if dominators < limit {
+				kept = append(kept, i)
 			}
-		})
+		}
 		alive = kept
 	}
 	prune()

@@ -154,9 +154,6 @@ func (a *HDPIMulti) Name() string { return fmt.Sprintf("HD-PI-%s-SomeTopK", a.op
 // SetObserver implements Observable.
 func (a *HDPIMulti) SetObserver(o obs.Observer) { a.opt.Observer = o }
 
-// SetParallelism implements Parallelizable.
-func (a *HDPIMulti) SetParallelism(workers int) { a.opt.Parallelism = workers }
-
 // SetPrepCache implements PrepCached.
 func (a *HDPIMulti) SetPrepCache(c *prep.Cache, fingerprint uint64) {
 	a.opt.PrepCache, a.opt.PrepFingerprint = c, fingerprint

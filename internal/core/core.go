@@ -60,12 +60,11 @@ type Observable interface {
 	SetObserver(o obs.Observer)
 }
 
-// Parallelizable is implemented by algorithms whose preprocessing can fan
-// out over a bounded worker pool (internal/hull's speculative LP engine).
-// The contract is strict determinism: any worker count must produce the
-// same answers, transcripts and event streams as workers == 1, which is
-// the serial legacy path (DESIGN.md §14). Callers resolve "use all cores"
-// themselves (parallel.Degree); 0 and 1 both mean serial here.
+// Parallelizable was implemented by algorithms whose preprocessing could fan
+// out over a worker pool.
+//
+// Deprecated: no algorithm implements it; preprocessing runs serially. It is
+// kept only because the dialoguebench module compiles against it.
 type Parallelizable interface {
 	SetParallelism(workers int)
 }

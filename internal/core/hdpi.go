@@ -54,12 +54,6 @@ type HDPIOptions struct {
 	StopCheckEvery int
 	// Observer receives trace events (internal/obs); nil disables tracing.
 	Observer obs.Observer
-	// Parallelism is the worker-pool degree for the exact convex-point
-	// scan. 0 or 1 keeps the serial legacy path byte for byte; higher
-	// values run internal/hull's speculative engine, which is guaranteed
-	// to produce identical results and event streams. Callers wanting
-	// "all cores" resolve GOMAXPROCS themselves (parallel.Degree).
-	Parallelism int
 	// PrepCache, when non-nil and PrepFingerprint != 0, memoizes
 	// dataset-level preprocessing (the exact convex-point set) across
 	// sessions over the same dataset. Sampling mode is never cached (it
@@ -100,9 +94,6 @@ func (a *HDPI) Name() string { return fmt.Sprintf("HD-PI-%s", a.opt.Mode) }
 
 // SetObserver implements Observable.
 func (a *HDPI) SetObserver(o obs.Observer) { a.opt.Observer = o }
-
-// SetParallelism implements Parallelizable.
-func (a *HDPI) SetParallelism(workers int) { a.opt.Parallelism = workers }
 
 // SetPrepCache implements PrepCached.
 func (a *HDPI) SetPrepCache(c *prep.Cache, fingerprint uint64) {
@@ -244,8 +235,7 @@ const prepKindConvexExact = "convex-exact"
 // (hull.ConvexPointsExact returns an error), the exact mode degrades to
 // sampling instead of building partitions from a set it cannot vouch for.
 //
-// The exact paths honour opt.Parallelism (the speculative worker-pool
-// engine; 0/1 = serial) and opt.PrepCache: unbudgeted exact results are
+// The exact paths honour opt.PrepCache: unbudgeted exact results are
 // memoized under the dataset fingerprint with their event tape, so a cached
 // session emits the same stream a cold one does. Budgeted runs only read the
 // cache — a hit hands them the complete exact set for free, a miss computes
@@ -282,7 +272,7 @@ func convexPoints(points []geom.Vector, opt HDPIOptions, tr *tracker) []int {
 	if tr == nil || !tr.budgeted {
 		var v any
 		v, err = cache.Do(key, o, func(co obs.Observer) (any, int64, error) {
-			V, err := hull.ConvexPointsExact(points, nil, co, opt.Parallelism)
+			V, err := hull.ConvexPointsExact(points, nil, co)
 			return V, intsBytes(V), err
 		})
 		if err == nil {
@@ -293,7 +283,7 @@ func convexPoints(points []geom.Vector, opt HDPIOptions, tr *tracker) []int {
 			return copyInts(v.([]int))
 		}
 		var V []int
-		if V, err = hull.ConvexPointsExact(points, tr.exhausted, o, opt.Parallelism); err == nil {
+		if V, err = hull.ConvexPointsExact(points, tr.exhausted, o); err == nil {
 			return V
 		}
 	}

@@ -21,7 +21,9 @@ import (
 	"ist/internal/geom"
 	"ist/internal/hull"
 	"ist/internal/lp"
+	"ist/internal/obs"
 	"ist/internal/oracle"
+	"ist/internal/prep"
 	"ist/internal/skyband"
 )
 
@@ -300,6 +302,44 @@ func TestChaosLPCorruptionDegradesAccurateMode(t *testing.T) {
 	}
 }
 
+// TestChaosLPCorruptionEventsIndependentOfCache: an unbudgeted accurate run
+// whose first convex-point test fails on the dual LP (solve 1) and on the
+// primal retry (solve 2) degrades to sampling, and its event stream — the
+// two failed solves included — is the same with and without a shared
+// preprocessing cache.
+func TestChaosLPCorruptionEventsIndependentOfCache(t *testing.T) {
+	const k = 3
+	band := chaosBand(15, 150, 3, k)
+	hidden := oracle.RandomUtility(rand.New(rand.NewSource(53)), 3)
+	lp.SetClock(clock.NewFake(time.Unix(0, 0)))
+	t.Cleanup(func() { lp.SetClock(nil) })
+	run := func(cache *prep.Cache) (int, []obs.Event) {
+		corruptLPSolves(t, 1, 2)
+		var rec obs.Recorder
+		alg := core.NewHDPI(core.HDPIOptions{
+			Mode: core.ConvexExact, Rng: rand.New(rand.NewSource(37)),
+			Observer: &rec, PrepCache: cache, PrepFingerprint: 1,
+		})
+		return alg.Run(band, k, oracle.NewUser(hidden)), rec.Events()
+	}
+
+	wantIdx, want := run(nil)
+	if len(want) < 2 || want[0].Kind != obs.KindLPSolve || want[1].Kind != obs.KindLPSolve {
+		t.Fatalf("uncached run does not start with the two failed solves: %v", want[:min(len(want), 2)])
+	}
+	cache := prep.New(0)
+	idx, got := run(cache)
+	if idx != wantIdx {
+		t.Fatalf("cached run answered %d, uncached %d", idx, wantIdx)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("cached run emitted %d events, uncached %d; the streams differ", len(got), len(want))
+	}
+	if s := cache.Stats(); s.Entries != 0 {
+		t.Fatalf("the failed scan was cached: %+v", s)
+	}
+}
+
 // TestChaosSingleLPCorruptionIsAbsorbed: one corrupted solve fails only the
 // dual test's certificate, and its primal retry absorbs the fault. Accurate
 // mode neither degrades nor changes: the same convex set, the same answer
@@ -315,14 +355,14 @@ func TestChaosSingleLPCorruptionIsAbsorbed(t *testing.T) {
 		return idx, cert, rec
 	}
 
-	cleanV, err := hull.ConvexPointsExact(band, nil, nil, 1)
+	cleanV, err := hull.ConvexPointsExact(band, nil, nil)
 	if err != nil {
 		t.Fatalf("clean scan: %v", err)
 	}
 	cleanIdx, _, cleanRec := run()
 
 	uninstall := InstallLPFaults(Plan{LPCorruptAt: 1})
-	V, err := hull.ConvexPointsExact(band, nil, nil, 1)
+	V, err := hull.ConvexPointsExact(band, nil, nil)
 	uninstall()
 	if err != nil {
 		t.Fatalf("scan with solve 1 corrupted: %v", err)

@@ -35,7 +35,6 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"sync"
 
 	"ist/internal/geom"
 	"ist/internal/lp"
@@ -46,24 +45,36 @@ import (
 // ConvexPointsExact returns, in ascending order, the indices of all points
 // that are top-1 for at least one utility vector (ties count as top-1).
 //
-// stop, when non-nil, is checked once per untested candidate; once it
-// returns true the scan ends and reports the points confirmed so far. o
-// receives one lp-solve event per LP solve and one convex-point-test event
-// per candidate. workers > 1 runs the speculative engine (parallel.go),
-// which returns the same points and the same event stream as the serial
-// scan at any worker count.
+// stop, when non-nil, is called once per candidate not yet confirmed when
+// the scan reaches it, in ascending index order; once it returns true the
+// scan ends and reports the points confirmed so far. o receives one lp-solve
+// event per LP solve and one convex-point-test event per tested candidate.
 //
 // An error means one candidate's test failed its certificate on the dual
-// LP and again on the primal retry; the points confirmed so far come with
-// it, but they are not the complete set.
-func ConvexPointsExact(points []geom.Vector, stop func() bool, o obs.Observer, workers int) ([]int, error) {
+// LP and again on the primal retry; the points confirmed before that
+// candidate come with it, but they are not the complete set.
+func ConvexPointsExact(points []geom.Vector, stop func() bool, o obs.Observer) ([]int, error) {
 	if len(points) == 0 {
 		return nil, nil
 	}
-	if workers > 1 {
-		return convexPointsSpeculative(points, stop, o, workers)
+	c := seedConfirmed(points)
+	s := new(scratch)
+	for p := range points {
+		if c.in[p] {
+			continue
+		}
+		if stop != nil && stop() {
+			break // budget exhausted: report what is confirmed so far
+		}
+		before := len(c.list)
+		if err := c.test(points, p, s, o); err != nil {
+			// Drop what the failed test confirmed; c is not used again.
+			c.list = c.list[:before]
+			return c.sorted(), err
+		}
+		obs.ConvexPointTest(o, p, c.in[p])
 	}
-	return convexPointsSerial(points, stop, o)
+	return c.sorted(), nil
 }
 
 // confirmed is a scan's growing set of convex points: the list in
@@ -84,41 +95,16 @@ func seedConfirmed(points []geom.Vector) *confirmed {
 	return c
 }
 
-func (c *confirmed) add(ws ...int) {
-	for _, w := range ws {
-		if !c.in[w] {
-			c.in[w] = true
-			c.list = append(c.list, w)
-		}
+func (c *confirmed) add(w int) {
+	if !c.in[w] {
+		c.in[w] = true
+		c.list = append(c.list, w)
 	}
 }
-
-// snapshot is the current list capped at its length, so a candidate test
-// appending its discoveries reallocates instead of writing into the list.
-func (c *confirmed) snapshot() []int { return c.list[:len(c.list):len(c.list)] }
 
 func (c *confirmed) sorted() []int {
 	sort.Ints(c.list)
 	return c.list
-}
-
-func convexPointsSerial(points []geom.Vector, stop func() bool, o obs.Observer) ([]int, error) {
-	c := seedConfirmed(points)
-	for p := range points {
-		if c.in[p] {
-			continue
-		}
-		if stop != nil && stop() {
-			break // budget exhausted: report what is confirmed so far
-		}
-		ext, err := testCandidate(points, p, c.snapshot(), o)
-		if err != nil {
-			return c.sorted(), err
-		}
-		c.add(ext...)
-		obs.ConvexPointTest(o, p, c.in[p])
-	}
-	return c.sorted(), nil
 }
 
 // seedUtilities returns the utility vectors whose winners are convex points
@@ -137,33 +123,28 @@ func seedUtilities(d int) []geom.Vector {
 	return append(seeds, c)
 }
 
-// testCandidate decides candidate p against the confirmed points against:
-// each round solves p's LP, checks its certificate and either rejects p,
+// test decides candidate p against the confirmed points: each round solves
+// p's LP against c.list, checks its certificate and either rejects p,
 // confirms p, or confirms the witness's winner w and tests again with w
-// appended to the constraints. It returns the points it confirmed in order,
-// p last iff p was confirmed; on an error, none. It only reads against, so
-// speculative workers may run it concurrently on one snapshot; against must
-// be capped at its length (confirmed.snapshot).
-func testCandidate(points []geom.Vector, p int, against []int, o obs.Observer) ([]int, error) {
-	s := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(s)
-	var ext []int
+// among the constraints. Confirms extend c.list in order, p last iff p was
+// confirmed.
+func (c *confirmed) test(points []geom.Vector, p int, s *scratch, o obs.Observer) error {
 	for {
-		v, w, _ := s.check(points, p, against, s.solveDual(points, p, against, o))
+		v, w, _ := s.check(points, p, c.list, s.solveDual(points, p, c.list, o))
 		if v == failed {
 			var why string
-			if v, w, why = s.check(points, p, against, s.solvePrimal(points, p, against, o)); v == failed {
-				return nil, fmt.Errorf("hull: convex-point test of candidate %d failed its certificate on the dual LP and on the primal retry: %s", p, why)
+			if v, w, why = s.check(points, p, c.list, s.solvePrimal(points, p, c.list, o)); v == failed {
+				return fmt.Errorf("hull: convex-point test of candidate %d failed its certificate on the dual LP and on the primal retry: %s", p, why)
 			}
 		}
 		switch v {
 		case rejected:
-			return ext, nil
+			return nil
 		case accepted:
-			return append(ext, p), nil
+			c.add(p)
+			return nil
 		}
-		ext = append(ext, w)
-		against = append(against, w)
+		c.add(w)
 	}
 }
 
@@ -177,11 +158,11 @@ const (
 	grown                   // the witness's winner is a new convex point
 )
 
-// scratch holds one candidate test's working memory: the LP staging buffers
-// (coefficient arena, constraint headers, free-variable mask), the dual
-// witness and the combination c. Pooled, because speculative workers run
-// tests concurrently. Reused memory is re-zeroed, so a test's result does
-// not depend on what the buffers held before.
+// scratch holds a scan's candidate-test working memory: the LP staging
+// buffers (coefficient arena, constraint headers, free-variable mask), the
+// dual witness and the combination c. A scan owns one and reuses it for
+// every test. Reused memory is re-zeroed, so a test's result does not depend
+// on what the buffers held before.
 type scratch struct {
 	arena []float64
 	cons  []lp.Constraint
@@ -189,14 +170,13 @@ type scratch struct {
 	u, c  []float64
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
 // zeroed returns a zeroed slice of length n, reusing *buf's array when it
-// is large enough.
+// is large enough and otherwise at least doubling it, so a scan's growing
+// tests reallocate O(log n) times.
 func zeroed[T any](buf *[]T, n int) []T {
 	b := *buf
 	if cap(b) < n {
-		b = make([]T, n)
+		b = make([]T, n, max(n, 2*cap(b)))
 	} else {
 		b = b[:n]
 		clear(b)
@@ -214,7 +194,7 @@ type solution struct {
 	lambda, u []float64
 }
 
-// solveDual stages p's minimax LP in the pooled buffers and solves it:
+// solveDual stages p's minimax LP in the scratch buffers and solves it:
 // maximize −t over (λ, t), t free, s.t. Σ_q λ_q·q_i + t ≥ p_i for each
 // coordinate i, then Σ_q λ_q = 1. Columns follow against's order, so a test
 // is a pure function of (p, against). δ = t, and u is minus the coordinate

@@ -2,23 +2,194 @@ package hull
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"ist/internal/clock"
 	"ist/internal/dataset"
 	"ist/internal/geom"
+	"ist/internal/lp"
+	"ist/internal/obs"
 	"ist/internal/oracle"
+	"ist/internal/skyband"
 )
 
-// exactScan is the serial exact scan, failing the test on a certificate error.
+// exactScan is the exact scan, failing the test on a certificate error.
 func exactScan(t testing.TB, pts []geom.Vector) []int {
 	t.Helper()
-	v, err := ConvexPointsExact(pts, nil, nil, 1)
+	v, err := ConvexPointsExact(pts, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return v
+}
+
+// freezeLPClock pins traced-solve timing to a constant so event streams of
+// two runs can be compared with DeepEqual.
+func freezeLPClock(t *testing.T) {
+	t.Helper()
+	lp.SetClock(clock.NewFake(time.Unix(0, 0)))
+	t.Cleanup(func() { lp.SetClock(nil) })
+}
+
+func antiCorrelatedBand(t testing.TB, n, d, k int) []geom.Vector {
+	t.Helper()
+	ds := dataset.AntiCorrelated(rand.New(rand.NewSource(42)), n, d)
+	band := skyband.KSkyband(ds.Points, k)
+	pts := make([]geom.Vector, len(band))
+	for i, idx := range band {
+		pts[i] = ds.Points[idx]
+	}
+	return pts
+}
+
+// scanLog records a scan's stop calls and convex-point tests in the order
+// they happen: -1 for a stop call, the candidate index for a test.
+type scanLog struct {
+	steps []int
+	rec   obs.Recorder
+}
+
+func (l *scanLog) Event(e obs.Event) {
+	if e.Kind == obs.KindConvexPointTest {
+		l.steps = append(l.steps, e.I)
+	}
+	l.rec.Event(e)
+}
+
+// stopAfter returns a stop predicate that logs each call into l and turns
+// true from call budget+1 on.
+func (l *scanLog) stopAfter(budget int) func() bool {
+	calls := 0
+	return func() bool {
+		l.steps = append(l.steps, -1)
+		calls++
+		return calls > budget
+	}
+}
+
+func TestConvexPointsExactEmpty(t *testing.T) {
+	got, err := ConvexPointsExact(nil, nil, nil)
+	if err != nil || got != nil {
+		t.Fatalf("empty input: got %v, %v", got, err)
+	}
+}
+
+// TestConvexPointsExactStopImmediately: a stop that is already true ends the
+// scan before its first LP, so it reports exactly the seed winners (at the
+// simplex corners and the centroid) and emits no lp-solve or
+// convex-point-test event.
+func TestConvexPointsExactStopImmediately(t *testing.T) {
+	pts := antiCorrelatedBand(t, 120, 4, 2)
+	d := len(pts[0])
+	seeds := map[int]bool{}
+	for i := 0; i <= d; i++ {
+		u := geom.NewVector(d)
+		for j := range u {
+			if i == d {
+				u[j] = 1 / float64(d)
+			} else if j == i {
+				u[j] = 1
+			}
+		}
+		seeds[argmax(pts, u, -1)] = true
+	}
+	want := make([]int, 0, len(seeds))
+	for i := range seeds {
+		want = append(want, i)
+	}
+	sort.Ints(want)
+
+	var rec obs.Recorder
+	got, err := ConvexPointsExact(pts, func() bool { return true }, &rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %v, want the seed winners %v", got, want)
+	}
+	if rec.Len() != 0 {
+		t.Fatalf("stopped scan emitted %d events: %v", rec.Len(), rec.Events())
+	}
+}
+
+// TestConvexPointsExactStopCalls: stop is called exactly once per candidate
+// not yet confirmed when the scan reaches it, right before that candidate's
+// test, in ascending index order. Every candidate the scan skips is one it
+// had already confirmed.
+func TestConvexPointsExactStopCalls(t *testing.T) {
+	pts := antiCorrelatedBand(t, 250, 5, 3)
+	var l scanLog
+	got, err := ConvexPointsExact(pts, l.stopAfter(len(pts)), &l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(l.steps)%2 != 0 {
+		t.Fatalf("odd step log %v", l.steps)
+	}
+	tested := map[int]bool{}
+	last := -1
+	for i := 0; i < len(l.steps); i += 2 {
+		stop, p := l.steps[i], l.steps[i+1]
+		if stop != -1 || p < 0 {
+			t.Fatalf("step %d: want a stop call then a test, got %v", i, l.steps[i:i+2])
+		}
+		if p <= last {
+			t.Fatalf("candidate %d tested after %d", p, last)
+		}
+		tested[p], last = true, p
+	}
+	in := map[int]bool{}
+	for _, v := range got {
+		in[v] = true
+	}
+	for p := range pts {
+		if !tested[p] && !in[p] {
+			t.Fatalf("candidate %d neither tested nor confirmed", p)
+		}
+	}
+	if len(tested) == len(pts) {
+		t.Fatal("no candidate was skipped as already confirmed")
+	}
+}
+
+// TestConvexPointsExactStopMidway: a scan cut after b stop calls reports a
+// subset of the full scan's points, and its event stream is a prefix of the
+// full scan's.
+func TestConvexPointsExactStopMidway(t *testing.T) {
+	freezeLPClock(t)
+	pts := antiCorrelatedBand(t, 250, 5, 3)
+	var full obs.Recorder
+	all, err := ConvexPointsExact(pts, nil, &full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := map[int]bool{}
+	for _, v := range all {
+		in[v] = true
+	}
+	for _, budget := range []int{1, 7, 40} {
+		var l scanLog
+		got, err := ConvexPointsExact(pts, l.stopAfter(budget), &l)
+		if err != nil {
+			t.Fatalf("budget=%d: %v", budget, err)
+		}
+		for _, v := range got {
+			if !in[v] {
+				t.Fatalf("budget=%d: point %d is not in the full set", budget, v)
+			}
+		}
+		if len(got) >= len(all) {
+			t.Fatalf("budget=%d: cut scan found %d of %d points", budget, len(got), len(all))
+		}
+		ev := l.rec.Events()
+		if len(ev) == 0 || len(ev) >= full.Len() || !reflect.DeepEqual(ev, full.Events()[:len(ev)]) {
+			t.Fatalf("budget=%d: %d events are not a proper prefix of the full run's %d", budget, len(ev), full.Len())
+		}
+	}
 }
 
 func TestConvexPointsExact2D(t *testing.T) {
@@ -265,4 +436,85 @@ func BenchmarkConvexPoints2DVsExact(b *testing.B) {
 			exactScan(b, pts)
 		}
 	})
+}
+
+// BenchmarkConvexPointsExact is the scan on the acceptance workload: the
+// k-skyband of an anti-correlated 6-d dataset.
+func BenchmarkConvexPointsExact(b *testing.B) {
+	pts := antiCorrelatedBand(b, 400, 6, 3)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ConvexPointsExact(pts, nil, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkConvexPointsExactCarSlice is the scan on an embed-slices-shaped
+// band: the k = 10 skyband of a uniform 1,000-tuple slice of the Car-like
+// catalog generated from seed 1.
+func BenchmarkConvexPointsExactCarSlice(b *testing.B) {
+	ds, err := dataset.ByName("car", rand.New(rand.NewSource(1)), 68010, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	slice := make([]geom.Vector, 0, 1000)
+	for _, i := range rng.Perm(len(ds.Points))[:1000] {
+		slice = append(slice, ds.Points[i])
+	}
+	pts := skyband.Filter(slice, skyband.KSkyband(slice, 10))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ConvexPointsExact(pts, nil, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMaxMinMargin measures one certified candidate test: staging the
+// (d+1)-row dual LP in the scratch, the solve, and the reject certificate
+// check (the candidate is not convex).
+func BenchmarkMaxMinMargin(b *testing.B) {
+	pts := antiCorrelatedBand(b, 400, 6, 3)
+	against := exactScan(b, pts)
+	p := -1
+	seen := map[int]bool{}
+	for _, q := range against {
+		seen[q] = true
+	}
+	for i := range pts {
+		if !seen[i] {
+			p = i
+			break
+		}
+	}
+	if p < 0 {
+		b.Skip("every point convex; no candidate to test")
+	}
+	s := new(scratch)
+	if v, _, why := s.check(pts, p, against, s.solveDual(pts, p, against, nil)); v != rejected {
+		b.Fatalf("candidate %d: verdict %v (%s), want rejected", p, v, why)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.check(pts, p, against, s.solveDual(pts, p, against, nil))
+	}
+}
+
+// BenchmarkArgmax measures the witness verification scan.
+func BenchmarkArgmax(b *testing.B) {
+	pts := antiCorrelatedBand(b, 400, 6, 3)
+	u := geom.NewVector(6)
+	for i := range u {
+		u[i] = 1 / 6.0
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		argmax(pts, u, i%len(pts))
+	}
 }

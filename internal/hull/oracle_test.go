@@ -216,19 +216,16 @@ func gridCoord(k int) float64 {
 	return min(max(float64(k-2)/8, 0), 1)
 }
 
-// checkAgainstOracle compares the serial and speculative scans with the
-// exact oracle on one input.
+// checkAgainstOracle compares the scan with the exact oracle on one input.
 func checkAgainstOracle(t *testing.T, pts []geom.Vector) {
 	t.Helper()
 	want := ratConvexPoints(pts)
-	for _, workers := range []int{1, 2} {
-		got, err := ConvexPointsExact(pts, nil, nil, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v on %v", workers, err, pts)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: scan %v, exact oracle %v on %v", workers, got, want, pts)
-		}
+	got, err := ConvexPointsExact(pts, nil, nil)
+	if err != nil {
+		t.Fatalf("%v on %v", err, pts)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("scan %v, exact oracle %v on %v", got, want, pts)
 	}
 }
 
@@ -254,7 +251,7 @@ func TestRationalOracleSmall(t *testing.T) {
 
 // TestConvexPointsExactMatchesRationalOracle is the differential test: on
 // small random inputs with clamped and duplicated coordinates the float scan
-// must report exactly the rational oracle's set, serial and speculative.
+// must report exactly the rational oracle's set.
 func TestConvexPointsExactMatchesRationalOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 300; trial++ {
@@ -316,19 +313,17 @@ func TestAntiBandReportsEveryTiedTop1(t *testing.T) {
 	if len(tied) != 23 {
 		t.Fatalf("%d band points with x₁ = 1, want 23", len(tied))
 	}
-	for _, workers := range []int{1, 2} {
-		V, err := ConvexPointsExact(band, nil, nil, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		in := map[int]bool{}
-		for _, v := range V {
-			in[v] = true
-		}
-		for _, i := range tied {
-			if !in[i] {
-				t.Errorf("workers=%d: band point %d ties for top-1 at e₁ but is not reported", workers, i)
-			}
+	V, err := ConvexPointsExact(band, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := map[int]bool{}
+	for _, v := range V {
+		in[v] = true
+	}
+	for _, i := range tied {
+		if !in[i] {
+			t.Errorf("band point %d ties for top-1 at e₁ but is not reported", i)
 		}
 	}
 }

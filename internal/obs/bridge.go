@@ -38,7 +38,7 @@ const (
 	MetricTraceBytes       = "ist_trace_bytes_total"
 	MetricFlightDumps      = "ist_flight_dumps_total"
 
-	// Shared preprocessing cache series (DESIGN.md §14.3). Hits/misses are
+	// Shared preprocessing cache series (DESIGN.md §14.2). Hits/misses are
 	// cumulative across every algorithm-level cache access (session create,
 	// rehydration, budgeted lookups); bytes is the resident size of the
 	// memoized values. Refreshed from prep.Cache.Stats at scrape time.

@@ -1,17 +1,13 @@
 package obs
 
-// Recorder buffers events for deferred, in-order replay. It is the building
-// block of the deterministic parallel paths (DESIGN.md §14): each speculative
-// worker records the events its work would have emitted into a private
-// Recorder, and the dispatcher replays exactly the buffers of committed work
-// — in commit order — into the real observer, so the merged stream is
-// bit-identical to a serial run. The preprocessing cache (internal/prep)
-// stores a Recorder's tape next to each memoized value for the same reason:
-// a cache hit replays the recorded events so cached and cold sessions emit
-// identical streams.
+// Recorder buffers events for deferred, in-order replay. The preprocessing
+// cache (internal/prep, DESIGN.md §14.2) records a computation's events into
+// one and stores the tape next to the memoized value; every caller replays
+// it (ReplayTape), so cached and cold sessions emit identical streams. Tests
+// use it to capture a run's stream.
 //
-// A Recorder is NOT safe for concurrent use; each worker owns its own.
-// Events hold only value types, so a recorded event replays bit-identically.
+// A Recorder is NOT safe for concurrent use. Events hold only value types,
+// so a recorded event replays bit-identically.
 type Recorder struct {
 	events []Event
 }
@@ -26,21 +22,10 @@ func (r *Recorder) Events() []Event { return r.events }
 // Len reports how many events are buffered.
 func (r *Recorder) Len() int { return len(r.events) }
 
-// Replay emits every recorded event, in order, to o (nil-safe: replaying
+// ReplayTape emits a recorded tape, in order, into o (nil-safe: replaying
 // into a nil observer is a no-op, like every emit in this package).
-func (r *Recorder) Replay(o Observer) {
-	for _, e := range r.events {
-		Emit(o, e)
-	}
-}
-
-// ReplayTape emits a recorded tape into o — Replay for tapes that were
-// detached from their Recorder (e.g. stored in the preprocessing cache).
 func ReplayTape(tape []Event, o Observer) {
 	for _, e := range tape {
 		Emit(o, e)
 	}
 }
-
-// Reset drops the buffered events, keeping capacity for reuse.
-func (r *Recorder) Reset() { r.events = r.events[:0] }

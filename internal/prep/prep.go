@@ -1,4 +1,4 @@
-// Package prep is the shared preprocessing cache (DESIGN.md §14.3). A server
+// Package prep is the shared preprocessing cache (DESIGN.md §14.2). A server
 // hosting many sessions over the same dataset repeats the same deterministic
 // preprocessing per session: the k-skyband, the 2-d sweep partitions, the
 // exact convex-point set. This cache memoizes those results under the
@@ -9,7 +9,9 @@
 // observer events it emits into an obs.Recorder, and the tape is stored next
 // to the value. BOTH the cold path and every hit replay the tape into the
 // session's observer, so a cached session's event stream (and therefore its
-// transcript) is bit-identical to a cold one by construction.
+// transcript) is bit-identical to a cold one by construction. A failed
+// computation's tape is replayed too, into the computing caller and every
+// caller that waited on it, before the error is returned.
 //
 // Only reproducible, rng-free computations may be cached (exact convex
 // points, sweep partitions, skybands — never sampling mode), and only
@@ -80,10 +82,10 @@ func New(maxBytes int64) *Cache {
 // Do returns the cached value for key, computing it at most once across
 // concurrent callers (single-flight). compute receives an observer that
 // tapes the events of the computation; the tape is replayed into o on every
-// path — first computation and every hit alike — so event streams do not
-// depend on cache state. compute reports the value's approximate resident
-// size for the byte cap. Errors are returned but never cached: the next Do
-// retries.
+// path — first computation and every hit alike, failed or not — so event
+// streams do not depend on cache state. compute reports the value's
+// approximate resident size for the byte cap. Errors are returned but never
+// cached: the next Do retries.
 func (c *Cache) Do(key Key, o obs.Observer, compute func(obs.Observer) (any, int64, error)) (any, error) {
 	if c == nil {
 		// Uncached: run compute straight against the session observer.
@@ -96,6 +98,7 @@ func (c *Cache) Do(key Key, o obs.Observer, compute func(obs.Observer) (any, int
 		c.mu.Unlock()
 		<-e.ready
 		if e.err != nil {
+			obs.ReplayTape(e.tape, o)
 			return nil, e.err
 		}
 		c.mu.Lock()
@@ -117,9 +120,10 @@ func (c *Cache) Do(key Key, o obs.Observer, compute func(obs.Observer) (any, int
 	if err != nil {
 		// Never cache failures; let the next caller retry.
 		delete(c.entries, key)
-		e.err = err
+		e.err, e.tape = err, tape
 		close(e.ready)
 		c.mu.Unlock()
+		obs.ReplayTape(tape, o)
 		return nil, err
 	}
 	e.value, e.tape, e.bytes = v, tape, size

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ist/internal/obs"
 )
@@ -102,6 +103,66 @@ func TestDoErrorNotCached(t *testing.T) {
 	v, err := do()
 	if err != nil || v != 42 {
 		t.Fatalf("retry after error: got %v, %v", v, err)
+	}
+}
+
+// TestDoErrorReplaysTape: the events a failed computation emitted reach the
+// computing caller and a caller waiting on it exactly as the uncached path
+// emits them, and the failure is still not cached.
+func TestDoErrorReplaysTape(t *testing.T) {
+	boom := errors.New("certificate failed")
+	ev := obs.Event{Kind: obs.KindLPSolve, Status: "infeasible"}
+	key := Key{Fingerprint: 5, Kind: "convex-exact"}
+	fail := func(o obs.Observer) (any, int64, error) {
+		obs.Emit(o, ev)
+		return nil, 0, boom
+	}
+	var want obs.Recorder
+	if _, err := (*Cache)(nil).Do(key, &want, fail); !errors.Is(err, boom) {
+		t.Fatalf("uncached: got %v, want %v", err, boom)
+	}
+
+	c := New(0)
+	started, release := make(chan struct{}), make(chan struct{})
+	var computing, waiting obs.Recorder
+	var computeErr, waitErr error
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, computeErr = c.Do(key, &computing, func(o obs.Observer) (any, int64, error) {
+			close(started)
+			<-release
+			return fail(o)
+		})
+	}()
+	<-started
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, waitErr = c.Do(key, &waiting, func(obs.Observer) (any, int64, error) {
+			t.Error("a waiting caller computed instead of sharing the flight")
+			return nil, 0, nil
+		})
+	}()
+	// The waiter counts its hit before it blocks on the computation.
+	for c.Stats().Hits == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	wg.Wait()
+
+	if !errors.Is(computeErr, boom) || !errors.Is(waitErr, boom) {
+		t.Fatalf("errors: computing %v, waiting %v; want %v", computeErr, waitErr, boom)
+	}
+	if !reflect.DeepEqual(computing.Events(), want.Events()) {
+		t.Fatalf("computing caller got %v, uncached %v", computing.Events(), want.Events())
+	}
+	if !reflect.DeepEqual(waiting.Events(), want.Events()) {
+		t.Fatalf("waiting caller got %v, uncached %v", waiting.Events(), want.Events())
+	}
+	if s := c.Stats(); s.Entries != 0 {
+		t.Fatalf("failure cached: %+v", s)
 	}
 }
 
