@@ -144,19 +144,32 @@ func TestFinalAnswerReplay(t *testing.T) {
 	}
 }
 
-// flakyStore wraps a SessionStore, failing Answer writes on demand.
+// flakyStore wraps a SessionStore, failing Create and Answer writes on
+// demand.
 type flakyStore struct {
 	SessionStore
 	mu   sync.Mutex
 	fail bool
 }
 
-func (f *flakyStore) Answer(id string, preferFirst bool) error {
+var errDiskOnFire = errors.New("disk on fire")
+
+func (f *flakyStore) failing() bool {
 	f.mu.Lock()
-	failing := f.fail
-	f.mu.Unlock()
-	if failing {
-		return errors.New("disk on fire")
+	defer f.mu.Unlock()
+	return f.fail
+}
+
+func (f *flakyStore) Create(rec SessionRecord) error {
+	if f.failing() {
+		return errDiskOnFire
+	}
+	return f.SessionStore.Create(rec)
+}
+
+func (f *flakyStore) Answer(id string, preferFirst bool) error {
+	if f.failing() {
+		return errDiskOnFire
 	}
 	return f.SessionStore.Answer(id, preferFirst)
 }
@@ -213,6 +226,108 @@ func TestStoreErrorRefusesAnswer(t *testing.T) {
 		if r.ID == st.ID && len(r.Answers) != 1 {
 			t.Fatalf("store recorded %d answers, want 1", len(r.Answers))
 		}
+	}
+}
+
+// TestStoreErrorRefusesCreate: a create the store cannot record is refused
+// (503 + Retry-After) and leaves neither a live session nor a record. The
+// old log-and-continue path served a zombie: the store knew no such
+// session, so every later answer to it was refused, even after the store
+// healed.
+func TestStoreErrorRefusesCreate(t *testing.T) {
+	band, k, _ := testBand(t)
+	fs := &flakyStore{SessionStore: NewMemStore()}
+	srv, err := New(band, k, Options{Seed: 1, TTL: time.Minute, Store: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	fs.setFail(true)
+	rec, _ := do(t, srv, http.MethodPost, "/sessions", nil)
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("create with failing store: %d, want 503", rec.Code)
+	}
+	if rec.Header().Get("Retry-After") == "" {
+		t.Fatal("503 without Retry-After")
+	}
+	if srv.storeErrors.Value() != 1 {
+		t.Fatalf("ist_store_errors_total = %d, want 1", srv.storeErrors.Value())
+	}
+	if srv.Sessions() != 0 {
+		t.Fatalf("refused create left %d live sessions", srv.Sessions())
+	}
+	if rec, _ := do(t, srv, http.MethodGet, "/sessions/s1", nil); rec.Code != http.StatusNotFound {
+		t.Fatalf("GET refused session: %d, want 404", rec.Code)
+	}
+	if recs, _, err := fs.Load(); err != nil || len(recs) != 0 {
+		t.Fatalf("refused create left records %+v (err %v)", recs, err)
+	}
+
+	// Once the store heals, the client's retried create is a full session
+	// whose answers persist.
+	fs.setFail(false)
+	rec, st := do(t, srv, http.MethodPost, "/sessions", nil)
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("create after heal: %d %s", rec.Code, rec.Body.String())
+	}
+	rec, next := do(t, srv, http.MethodPost, "/sessions/"+st.ID+"/answer", answerBody(1, 0))
+	if rec.Code != http.StatusOK || next.Seq != 1 {
+		t.Fatalf("answer after heal: code %d seq %d, want 200/1", rec.Code, next.Seq)
+	}
+}
+
+// stallingStore holds Create until released, then fails it.
+type stallingStore struct {
+	SessionStore
+	entered, release chan struct{}
+}
+
+func (s *stallingStore) Create(SessionRecord) error {
+	close(s.entered)
+	<-s.release
+	return errDiskOnFire
+}
+
+// TestStoreErrorRefusedCreateRacingLookup: a request that found the
+// reserved id while its create record was failing waits for the create and
+// then sees a failed session (500), never a half-built one.
+func TestStoreErrorRefusedCreateRacingLookup(t *testing.T) {
+	band, k, _ := testBand(t)
+	store := &stallingStore{SessionStore: NewMemStore(), entered: make(chan struct{}), release: make(chan struct{})}
+	srv, err := New(band, k, Options{Seed: 1, TTL: time.Minute, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	created := make(chan int, 1)
+	go func() {
+		rec, _ := do(nil, srv, http.MethodPost, "/sessions", nil)
+		created <- rec.Code
+	}()
+	<-store.entered
+	// lookup stamps lastUsed through srv.now once it has found the id.
+	found := make(chan struct{})
+	var once sync.Once
+	srv.mu.Lock()
+	now := srv.now
+	srv.now = func() time.Time { once.Do(func() { close(found) }); return now() }
+	srv.mu.Unlock()
+	got := make(chan int, 1)
+	go func() {
+		rec, _ := do(nil, srv, http.MethodGet, "/sessions/s1", nil)
+		got <- rec.Code
+	}()
+	<-found
+	close(store.release)
+	if code := <-created; code != http.StatusServiceUnavailable {
+		t.Fatalf("create with failing store: %d, want 503", code)
+	}
+	if code := <-got; code != http.StatusInternalServerError {
+		t.Fatalf("GET racing the refused create: %d, want 500", code)
+	}
+	if rec, _ := do(t, srv, http.MethodGet, "/sessions/s1", nil); rec.Code != http.StatusNotFound || srv.Sessions() != 0 {
+		t.Fatalf("refused create still served: GET %d, %d live", rec.Code, srv.Sessions())
 	}
 }
 

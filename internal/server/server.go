@@ -755,6 +755,22 @@ func (srv *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	srv.sessions[id] = st
 	srv.mu.Unlock()
 
+	// Persist first, like answers: a session the store cannot record is
+	// refused (503), never served, since none of its answers could be
+	// persisted either. A request that looked the reserved id up meanwhile
+	// finds it failed; the id itself is burned.
+	if srv.opt.Store != nil {
+		if err := srv.opt.Store.Create(SessionRecord{ID: id, Algorithm: name, Seed: seed, Fingerprint: srv.fp}); err != nil {
+			st.failed = err
+			st.mu.Unlock()
+			srv.mu.Lock()
+			delete(srv.sessions, id)
+			srv.mu.Unlock()
+			srv.refuseUnpersisted(w, "create", id, err)
+			return
+		}
+	}
+
 	// The client owns the trace: a valid traceparent makes its trace id the
 	// session's trace id, so every span this session ever emits — on either
 	// side of the wire — shares it.
@@ -772,11 +788,6 @@ func (srv *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	srv.sessionsTotal.Inc()
 	st.s = ist.NewSessionContext(context.Background(), alg, srv.points, srv.k, srv.sessionOptions(id, st)...)
-	if srv.opt.Store != nil {
-		if err := srv.opt.Store.Create(SessionRecord{ID: id, Algorithm: name, Seed: seed, Fingerprint: srv.fp}); err != nil {
-			log.Printf("server: persist create %s: %v", id, err)
-		}
-	}
 	srv.advance(id, st)
 	createSp.SetStatus(st.failed)
 	createSp.End()
@@ -920,12 +931,9 @@ func (srv *Server) handleAnswer(w http.ResponseWriter, r *http.Request, id strin
 		persistSp.SetStatus(err)
 		persistSp.End()
 		if err != nil {
-			srv.storeErrors.Inc()
 			ansSp.SetStatus(err)
 			st.mu.Unlock()
-			log.Printf("server: persist answer %s: %v (refusing request)", id, err)
-			w.Header().Set("Retry-After", srv.retryAfter())
-			http.Error(w, "store unavailable; answer not applied", http.StatusServiceUnavailable)
+			srv.refuseUnpersisted(w, "answer", id, err)
 			return
 		}
 	}
@@ -969,6 +977,16 @@ func (srv *Server) handleAnswer(w http.ResponseWriter, r *http.Request, id strin
 		srv.dumpFlight(id, st, "budget-exhausted")
 	}
 	srv.writeState(w, id, st, http.StatusOK)
+}
+
+// refuseUnpersisted answers a create or answer the store could not record:
+// counted in ist_store_errors_total and refused with 503 + Retry-After, so
+// the client retries the same request once the store heals.
+func (srv *Server) refuseUnpersisted(w http.ResponseWriter, op, id string, err error) {
+	srv.storeErrors.Inc()
+	log.Printf("server: persist %s %s: %v (refusing request)", op, id, err)
+	w.Header().Set("Retry-After", srv.retryAfter())
+	http.Error(w, "store unavailable; "+op+" not applied", http.StatusServiceUnavailable)
 }
 
 // errSeqConflict labels conflict spans; the detailed seqs ride as attrs.

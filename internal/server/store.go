@@ -1,18 +1,10 @@
 package server
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"log"
-	"os"
-	"path/filepath"
 	"sync"
-	"time"
 
-	"ist/internal/clock"
 	"ist/internal/obs"
-	"ist/internal/wal"
 )
 
 // SessionRecord is everything needed to deterministically rebuild an
@@ -69,8 +61,7 @@ func sessionIDNum(id string) int64 {
 }
 
 // MemStore is an in-memory SessionStore: no crash durability, but it gives
-// tests and single-process deployments the same code path as the durable
-// stores.
+// tests the same code path and folding rule as the durable WALStore.
 type MemStore struct {
 	mu   sync.Mutex
 	fold eventFold
@@ -117,8 +108,8 @@ func (m *MemStore) Load() ([]SessionRecord, int64, error) {
 // Close implements SessionStore.
 func (m *MemStore) Close() error { return nil }
 
-// storeEvent is one event of the append-only session log (one JSONL line,
-// or one WAL record): folded back into per-session records on Load.
+// storeEvent is one event of the append-only session log (one WAL record):
+// folded back into per-session records on recovery.
 // Appending one small event per answer (instead of rewriting a snapshot)
 // keeps the write path O(1) and bounds what a torn write can damage.
 type storeEvent struct {
@@ -129,8 +120,8 @@ type storeEvent struct {
 }
 
 // eventFold replays store events into the latest per-session state. It is
-// the one folding rule every store shares, so the in-memory view, the
-// JSONL loader and the WAL snapshotter cannot drift apart.
+// the one folding rule both stores share, so MemStore, the WAL's recovery
+// and its snapshots cannot drift apart.
 type eventFold struct {
 	recs   map[string]*SessionRecord
 	order  []string
@@ -178,166 +169,4 @@ func (f *eventFold) records() []SessionRecord {
 		}
 	}
 	return out
-}
-
-// JSONLStore is an append-only newline-delimited-JSON SessionStore, kept
-// as the simple single-file option and as the migration source for
-// WALStore. Durability follows a wal.SyncPolicy (default: fsync every
-// append — an acknowledged answer survives a power cut); Load tolerates a
-// torn final line and skips-and-counts corrupt mid-file lines instead of
-// failing rehydration.
-type JSONLStore struct {
-	mu       sync.Mutex
-	f        *os.File
-	path     string
-	policy   wal.SyncPolicy
-	every    time.Duration
-	clk      clock.Clock
-	lastSync time.Time
-	dirty    bool
-	corrupt  int // lines skipped by the most recent Load
-}
-
-// OpenJSONLStore opens (creating if needed) an append-only JSONL store
-// with the always-fsync policy.
-func OpenJSONLStore(path string) (*JSONLStore, error) {
-	return OpenJSONLStoreSync(path, wal.SyncAlways, 0, nil)
-}
-
-// OpenJSONLStoreSync opens the store with an explicit fsync policy. every
-// and clk matter only for wal.SyncInterval (zero values mean 100ms on the
-// real clock). The parent directory is fsynced after opening so a freshly
-// created log file survives a power cut — a store whose file vanishes
-// "persisted" nothing.
-func OpenJSONLStoreSync(path string, policy wal.SyncPolicy, every time.Duration, clk clock.Clock) (*JSONLStore, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("server: store: %w", err)
-	}
-	if err := wal.OS.SyncDir(filepath.Dir(path)); err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("server: store: sync dir: %w", err)
-	}
-	if every <= 0 {
-		every = 100 * time.Millisecond
-	}
-	if clk == nil {
-		clk = clock.Real
-	}
-	return &JSONLStore{f: f, path: path, policy: policy, every: every, clk: clk, lastSync: clk.Now()}, nil
-}
-
-func (s *JSONLStore) append(ev storeEvent) error {
-	line, err := json.Marshal(ev)
-	if err != nil {
-		return fmt.Errorf("server: store: %w", err)
-	}
-	line = append(line, '\n')
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	//lint:ignore locksafe s.mu is the append serialization point: interleaved writes would corrupt the JSONL stream
-	if _, err := s.f.Write(line); err != nil {
-		return fmt.Errorf("server: store: %w", err)
-	}
-	s.dirty = true
-	switch s.policy {
-	case wal.SyncAlways:
-		return s.syncLocked()
-	case wal.SyncInterval:
-		if clock.Since(s.clk, s.lastSync) >= s.every {
-			return s.syncLocked()
-		}
-	}
-	return nil
-}
-
-// syncLocked flushes the file. Callers hold s.mu.
-func (s *JSONLStore) syncLocked() error {
-	if !s.dirty {
-		return nil
-	}
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("server: store: fsync: %w", err)
-	}
-	s.lastSync = s.clk.Now()
-	s.dirty = false
-	return nil
-}
-
-// Create implements SessionStore.
-func (s *JSONLStore) Create(rec SessionRecord) error {
-	cp := rec
-	return s.append(storeEvent{Op: "create", ID: rec.ID, Rec: &cp})
-}
-
-// Answer implements SessionStore.
-func (s *JSONLStore) Answer(id string, preferFirst bool) error {
-	return s.append(storeEvent{Op: "answer", ID: id, Answer: &preferFirst})
-}
-
-// Finish implements SessionStore.
-func (s *JSONLStore) Finish(id string) error {
-	return s.append(storeEvent{Op: "finish", ID: id})
-}
-
-// Load implements SessionStore. It reads the whole event log and folds it
-// into the latest state of every unfinished session. A torn final line
-// (the signature of a mid-write crash) is ignored; a corrupt line earlier
-// in the file is skipped and counted — one bad sector must not discard
-// every session recorded after it.
-func (s *JSONLStore) Load() ([]SessionRecord, int64, error) {
-	data, err := os.ReadFile(s.path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, 0, nil
-		}
-		return nil, 0, fmt.Errorf("server: store: %w", err)
-	}
-	// A file not ending in '\n' has a torn final line; everything before
-	// the last newline consists of complete lines that were once
-	// acknowledged, so damage there is corruption, not tearing.
-	torn := len(data) > 0 && data[len(data)-1] != '\n'
-	lines := bytes.Split(data, []byte("\n"))
-	if n := len(lines); n > 0 && (torn || len(lines[n-1]) == 0) {
-		lines = lines[:n-1]
-	}
-	fold := newEventFold()
-	corrupt := 0
-	for _, line := range lines {
-		if len(line) == 0 {
-			continue
-		}
-		var ev storeEvent
-		if err := json.Unmarshal(line, &ev); err != nil {
-			corrupt++
-			continue
-		}
-		fold.apply(ev)
-	}
-	if corrupt > 0 {
-		log.Printf("server: store: skipped %d corrupt line(s) in %s; continuing with %d session(s)",
-			corrupt, s.path, len(fold.recs))
-	}
-	s.mu.Lock()
-	s.corrupt = corrupt
-	s.mu.Unlock()
-	return fold.records(), fold.lastID, nil
-}
-
-// CorruptLines reports how many corrupt lines the most recent Load skipped.
-func (s *JSONLStore) CorruptLines() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.corrupt
-}
-
-// Close implements SessionStore, flushing pending appends first.
-func (s *JSONLStore) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	err := s.syncLocked()
-	if cerr := s.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
