@@ -7,7 +7,7 @@ func direct(o obs.Observer) {
 	o.Event(obs.Event{Kind: obs.KindQuestionAsked}) // want `direct Observer.Event call`
 }
 
-func directConcrete(c *obs.Counting) {
+func directConcrete(c *obs.Recorder) {
 	c.Event(obs.Event{Kind: obs.KindHalfspaceCut}) // want `direct Observer.Event call`
 }
 

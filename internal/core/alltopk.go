@@ -71,30 +71,35 @@ func (a *RHMulti) runMulti(points []geom.Vector, k, want int, o oracle.Oracle, t
 	perm := rng.Perm(n)
 
 	strat := a.opt.strategy()
+	stopEvery := a.opt.StopCheckEvery
 	var stop stopScratch
 
 	i := 1
+	round := 0
 	for {
 		if tr.exhausted() {
 			return bestEffortRegionMulti(points, want, R, tr)
 		}
 		tr.maybeDegrade()
 		if tr != nil && tr.active {
-			strat = tr.strategy
+			strat, stopEvery = tr.strategy, tr.stopEvery
 		}
-		verts := R.Vertices()
-		if len(verts) == 0 {
-			tr.finish(false, StopDegenerate, nil)
-			return oracle.TopK(points, uniformUtility(d), want)
+		if round%stopEvery == 0 {
+			verts := R.Vertices()
+			if len(verts) == 0 {
+				tr.finish(false, StopDegenerate, nil)
+				return oracle.TopK(points, uniformUtility(d), want)
+			}
+			probe := R.Sample(rng)
+			tr.observe(probe, verts)
+			res, resOK := stop.lemma55Multi(points, k, verts, probe, want)
+			tr.stopCheck(resOK)
+			if resOK {
+				tr.finish(true, StopConverged, verts)
+				return res
+			}
 		}
-		probe := R.Sample(rng)
-		tr.observe(probe, verts)
-		res, resOK := stop.lemma55Multi(points, k, verts, probe, want)
-		tr.stopCheck(resOK)
-		if resOK {
-			tr.finish(true, StopConverged, verts)
-			return res
-		}
+		round++
 
 		center := R.Center()
 		tr.observe(center, nil)
@@ -214,6 +219,8 @@ func (a *HDPIMulti) runMulti(points []geom.Vector, k, want int, o oracle.Oracle,
 	C := hd.buildPartitions(points, V, d, tr)
 	gamma := newGammaTable(points, V, C, a.opt)
 	var stop stopScratch
+	stopEvery := a.opt.StopCheckEvery
+	round := 0
 
 	// bestEffort answers from whatever region survives; certified=false
 	// because the refinement could not finish (degenerate geometry, erring
@@ -237,17 +244,21 @@ func (a *HDPIMulti) runMulti(points []geom.Vector, k, want int, o oracle.Oracle,
 		}
 		tr.maybeDegrade()
 		if tr != nil && tr.active {
+			stopEvery = tr.stopEvery
 			gamma.opt.Strategy = tr.strategy
 		}
-		verts := allVertices(C)
-		probe := C[rng.Intn(len(C))].poly.Sample(rng)
-		tr.observe(probe, verts)
-		res, resOK := stop.lemma55Multi(points, k, verts, probe, want)
-		tr.stopCheck(resOK)
-		if resOK {
-			tr.finish(true, StopConverged, verts)
-			return res
+		if round%stopEvery == 0 {
+			verts := allVertices(C)
+			probe := C[rng.Intn(len(C))].poly.Sample(rng)
+			tr.observe(probe, verts)
+			res, resOK := stop.lemma55Multi(points, k, verts, probe, want)
+			tr.stopCheck(resOK)
+			if resOK {
+				tr.finish(true, StopConverged, verts)
+				return res
+			}
 		}
+		round++
 
 		needRefine := len(C) == 1
 		bestRow := -1

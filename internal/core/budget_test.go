@@ -2,12 +2,18 @@ package core
 
 import (
 	"context"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"ist/internal/clock"
+	"ist/internal/dataset"
 	"ist/internal/geom"
+	"ist/internal/obs"
+	"ist/internal/oracle"
 	"ist/internal/polytope"
+	"ist/internal/skyband"
 )
 
 func TestBudgetActive(t *testing.T) {
@@ -170,5 +176,107 @@ func TestCountCandidates(t *testing.T) {
 	narrow := []geom.Vector{{1, 0}, {0.8, 0.2}}
 	if got := countCandidates(points, 1, narrow); got != 1 {
 		t.Fatalf("narrow region: %d candidates, want 1", got)
+	}
+}
+
+// jumpingOracle moves a fake clock forward by jump just before its at-th
+// question, putting a run under deadline pressure mid-dialogue.
+type jumpingOracle struct {
+	inner oracle.Oracle
+	fake  *clock.Fake
+	at    int
+	jump  time.Duration
+	asked int
+}
+
+func (o *jumpingOracle) Prefer(p, q geom.Vector) bool {
+	o.asked++
+	if o.asked == o.at {
+		o.fake.Advance(o.jump)
+	}
+	return o.inner.Prefer(p, q)
+}
+
+func (o *jumpingOracle) Questions() int { return o.inner.Questions() }
+
+// TestDegradedStopCadenceHonoured: once the ladder halves the stop-check
+// cadence, every budgeted variant that lists the step in its certificate
+// must actually check at most every other round from then on.
+func TestDegradedStopCadenceHonoured(t *testing.T) {
+	const k = 5
+	rng := rand.New(rand.NewSource(42))
+	ds := dataset.AntiCorrelated(rng, 400, 4)
+	band := skyband.Filter(ds.Points, skyband.KSkyband(ds.Points, k))
+	u := geom.Vector{0.4, 0.3, 0.2, 0.1}
+	const cadenceNote = "stop-check cadence halved under deadline pressure"
+
+	type run func(o obs.Observer, user oracle.Oracle, b Budget) Certificate
+	for _, c := range []struct {
+		name string
+		run  run
+	}{
+		{"rh", func(o obs.Observer, user oracle.Oracle, b Budget) Certificate {
+			alg := NewRHDefault(5)
+			alg.SetObserver(o)
+			_, cert := alg.RunBudgeted(band, k, user, b)
+			return cert
+		}},
+		{"hdpi", func(o obs.Observer, user oracle.Oracle, b Budget) Certificate {
+			alg := NewHDPI(HDPIOptions{Mode: ConvexSampling, Rng: rand.New(rand.NewSource(5))})
+			alg.SetObserver(o)
+			_, cert := alg.RunBudgeted(band, k, user, b)
+			return cert
+		}},
+		{"rh-multi", func(o obs.Observer, user oracle.Oracle, b Budget) Certificate {
+			alg := NewRHMulti(RHOptions{Rng: rand.New(rand.NewSource(5))})
+			alg.SetObserver(o)
+			_, cert := alg.RunMultiBudgeted(band, k, 2, user, b)
+			return cert
+		}},
+		{"hdpi-multi", func(o obs.Observer, user oracle.Oracle, b Budget) Certificate {
+			alg := NewHDPIMulti(HDPIOptions{Mode: ConvexSampling, Rng: rand.New(rand.NewSource(5))})
+			alg.SetObserver(o)
+			_, cert := alg.RunMultiBudgeted(band, k, 2, user, b)
+			return cert
+		}},
+		{"robust-hdpi", func(o obs.Observer, user oracle.Oracle, b Budget) Certificate {
+			alg := NewRobustHDPI(RobustHDPIOptions{Mode: ConvexSampling, Rng: rand.New(rand.NewSource(5))})
+			alg.SetObserver(o)
+			_, cert := alg.RunBudgeted(band, k, user, b)
+			return cert
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			start := time.Unix(100, 0)
+			fake := clock.NewFake(start)
+			user := &jumpingOracle{inner: oracle.NewUser(u), fake: fake, at: 3, jump: 800 * time.Millisecond}
+			var rec obs.Recorder
+			cert := c.run(&rec, user, Budget{Deadline: start.Add(time.Second), Clock: fake})
+
+			if !slices.Contains(cert.Degradations, cadenceNote) {
+				t.Fatalf("certificate degradations %v do not list %q", cert.Degradations, cadenceNote)
+			}
+			var degraded bool
+			var questions, checks int
+			for _, e := range rec.Events() {
+				switch {
+				case e.Kind == obs.KindDegradationStep && e.Note == cadenceNote:
+					degraded = true
+				case !degraded:
+				case e.Kind == obs.KindAnswerReceived:
+					questions++
+				case e.Kind == obs.KindStopConditionCheck:
+					checks++
+				}
+			}
+			if questions < 4 {
+				t.Fatalf("only %d questions after the cadence step; the run proves nothing", questions)
+			}
+			// One check per two rounds, plus the round the step fell in and
+			// the final, certifying check.
+			if limit := questions/2 + 2; checks > limit {
+				t.Errorf("%d stop checks over %d questions after the cadence step, want at most %d", checks, questions, limit)
+			}
+		})
 	}
 }

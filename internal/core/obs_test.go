@@ -41,6 +41,28 @@ func (r *recordingOracle) Prefer(p, q geom.Vector) bool {
 
 func (r *recordingOracle) Questions() int { return r.inner.Questions() }
 
+// countKind counts the recorded events of one kind.
+func countKind(r *obs.Recorder, kind obs.EventKind) int64 {
+	var n int64
+	for _, e := range r.Events() {
+		if e.Kind == kind {
+			n++
+		}
+	}
+	return n
+}
+
+// sumKind totals the Count field over the recorded events of one kind.
+func sumKind(r *obs.Recorder, kind obs.EventKind) int64 {
+	var n int64
+	for _, e := range r.Events() {
+		if e.Kind == kind {
+			n += int64(e.Count)
+		}
+	}
+	return n
+}
+
 // observedCase is one instrumented algorithm variant under test. run builds
 // a fresh algorithm (same seed every call), attaches the observer, and
 // returns the result indices.
@@ -113,7 +135,7 @@ func TestNilObserverTranscripts(t *testing.T) {
 			plain := &recordingOracle{inner: oracle.NewUser(u)}
 			plainRes := c.run(nil, band, k, plain)
 
-			counting := obs.NewCounting()
+			counting := &obs.Recorder{}
 			observed := &recordingOracle{inner: oracle.NewUser(u)}
 			observedRes := c.run(counting, band, k, observed)
 
@@ -123,10 +145,10 @@ func TestNilObserverTranscripts(t *testing.T) {
 			if !reflect.DeepEqual(plain.log, observed.log) {
 				t.Fatalf("transcripts diverge after %d vs %d questions", len(plain.log), len(observed.log))
 			}
-			if got := counting.Count(obs.KindAnswerReceived); got != int64(len(observed.log)) {
+			if got := countKind(counting, obs.KindAnswerReceived); got != int64(len(observed.log)) {
 				t.Fatalf("observer saw %d answers, oracle answered %d", got, len(observed.log))
 			}
-			if got := counting.Count(obs.KindQuestionAsked); got != int64(len(observed.log)) {
+			if got := countKind(counting, obs.KindQuestionAsked); got != int64(len(observed.log)) {
 				t.Fatalf("observer saw %d questions, oracle answered %d", got, len(observed.log))
 			}
 		})
@@ -143,31 +165,31 @@ func TestObserverCountsSanity(t *testing.T) {
 	band := skyband.Filter(ds.Points, skyband.KSkyband(ds.Points, k))
 	u := geom.Vector{0.5, 0.3, 0.2}
 
-	rhC := obs.NewCounting()
+	rhC := &obs.Recorder{}
 	rh := NewRHDefault(5)
 	rh.SetObserver(rhC)
 	rh.Run(band, k, oracle.NewUser(u))
-	if rhC.Count(obs.KindAnswerReceived) == 0 {
+	if countKind(rhC, obs.KindAnswerReceived) == 0 {
 		t.Fatal("RH asked no questions")
 	}
-	if rhC.Count(obs.KindHalfspaceCut) == 0 {
+	if countKind(rhC, obs.KindHalfspaceCut) == 0 {
 		t.Fatal("RH cut no halfspaces")
 	}
-	if rhC.Count(obs.KindStopConditionCheck) == 0 {
+	if countKind(rhC, obs.KindStopConditionCheck) == 0 {
 		t.Fatal("RH checked no stop condition")
 	}
 
-	hdC := obs.NewCounting()
+	hdC := &obs.Recorder{}
 	hd := NewHDPI(HDPIOptions{Mode: ConvexExact, Rng: rand.New(rand.NewSource(9))})
 	hd.SetObserver(hdC)
 	hd.Run(band, k, oracle.NewUser(u))
-	if hdC.Sum(obs.KindCandidatePruned) == 0 {
+	if sumKind(hdC, obs.KindCandidatePruned) == 0 {
 		t.Fatal("HD-PI pruned no candidates")
 	}
-	if hdC.Count(obs.KindLPSolve) == 0 {
+	if countKind(hdC, obs.KindLPSolve) == 0 {
 		t.Fatal("accurate HD-PI ran no LPs")
 	}
-	if hdC.Count(obs.KindConvexPointTest) == 0 {
+	if countKind(hdC, obs.KindConvexPointTest) == 0 {
 		t.Fatal("accurate HD-PI reported no convex-point tests")
 	}
 }

@@ -215,20 +215,23 @@ func (a *RobustHDPI) run(points []geom.Vector, k int, o oracle.Oracle, tr *track
 		tr.finish(certified, reason, verts)
 	}
 
+	stopEvery := 1
 	for q := 0; q < maxQ; q++ {
 		// Stopping: Lemma 5.5 over the credible region — the posterior's
 		// generalization of HD-PI's stopping condition 2.
-		cells, frac := credible()
-		if p, verts, ok := answer(cells, true); ok {
-			finish(true, StopConverged, frac, verts)
-			return p
+		if q%stopEvery == 0 {
+			cells, frac := credible()
+			if p, verts, ok := answer(cells, true); ok {
+				finish(true, StopConverged, frac, verts)
+				return p
+			}
 		}
 		if tr.exhausted() {
 			break
 		}
 		tr.maybeDegrade()
 		if tr != nil && tr.active {
-			strat = tr.strategy
+			strat, stopEvery = tr.strategy, tr.stopEvery
 		}
 
 		// Question selection: the hyperplane splitting the WEIGHT most

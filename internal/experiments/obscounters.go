@@ -19,10 +19,12 @@ type obsSpec struct {
 // ObsCounters profiles the instrumented interactive algorithms through the
 // trace observer: questions asked, LP solves per question, halfspace cuts
 // per question, and candidates pruned per question, averaged over Trials
-// random users for each k. The counts come from an attached obs.Counting
-// observer, not from instrumenting the experiment loop — so the table also
-// exercises the full event path the production /metrics endpoint relies on.
-// This is the data behind BENCH_4.json.
+// random users for each k. The counts come from an obs.Metrics bridge over
+// a private registry per run — the observer behind istserve's /metrics —
+// not from instrumenting the experiment loop, so the table also exercises
+// the full event path the production endpoint relies on. Questions are
+// counted as answers received, which equals the questions asked of a
+// simulated user that always answers. This is the data behind BENCH_4.json.
 func ObsCounters(cfg Config) *Table {
 	cfg = cfg.withDefaults()
 	tab := newTable("Observability counters (anti-correlated)", "k", floats(cfg.Ks))
@@ -64,13 +66,14 @@ func ObsCounters(cfg Config) *Table {
 				rng := rand.New(rand.NewSource(cfg.Seed + int64(trial)*7919))
 				u := oracle.RandomUtility(rng, len(points[0]))
 				alg := spec.make(cfg.Seed + int64(trial))
-				c := obs.NewCounting()
-				alg.(core.Observable).SetObserver(c)
+				reg := obs.NewRegistry()
+				alg.(core.Observable).SetObserver(obs.NewMetrics(reg))
 				alg.Run(band, k, oracle.NewUser(u))
-				q += float64(c.Count(obs.KindQuestionAsked))
-				lps += float64(c.Count(obs.KindLPSolve))
-				cuts += float64(c.Count(obs.KindHalfspaceCut))
-				pruned += float64(c.Sum(obs.KindCandidatePruned))
+				count := func(name string) float64 { return float64(reg.Counter(name, "").Value()) }
+				q += count(obs.MetricQuestions)
+				lps += count(obs.MetricLPSolves)
+				cuts += count(obs.MetricCuts)
+				pruned += count(obs.MetricPruned)
 			}
 			f := float64(cfg.Trials)
 			q /= f

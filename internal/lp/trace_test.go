@@ -17,8 +17,7 @@ func TestSolveTraced(t *testing.T) {
 	SetClock(fake)
 	defer SetClock(nil)
 
-	var events []obs.Event
-	o := obs.Func(func(e obs.Event) { events = append(events, e) })
+	o := &obs.Recorder{}
 	res := SolveTraced(Problem{
 		NumVars:   2,
 		Objective: []float64{1, 1},
@@ -30,6 +29,7 @@ func TestSolveTraced(t *testing.T) {
 	if res.Status != Optimal {
 		t.Fatalf("status = %v, want optimal", res.Status)
 	}
+	events := o.Events()
 	if len(events) != 1 {
 		t.Fatalf("emitted %d events, want 1", len(events))
 	}
@@ -51,8 +51,7 @@ func TestSolveTraced(t *testing.T) {
 // TestSolveTracedInfeasible asserts the event reports the status the caller
 // saw, including failures.
 func TestSolveTracedInfeasible(t *testing.T) {
-	var events []obs.Event
-	o := obs.Func(func(e obs.Event) { events = append(events, e) })
+	o := &obs.Recorder{}
 	res := SolveTraced(Problem{
 		NumVars:   1,
 		Objective: []float64{1},
@@ -63,7 +62,7 @@ func TestSolveTracedInfeasible(t *testing.T) {
 	if res.Status != Infeasible {
 		t.Fatalf("status = %v, want infeasible", res.Status)
 	}
-	if len(events) != 1 || events[0].Status != "infeasible" {
+	if events := o.Events(); len(events) != 1 || events[0].Status != "infeasible" {
 		t.Fatalf("events = %+v", events)
 	}
 }

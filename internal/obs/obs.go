@@ -20,10 +20,7 @@
 // under a fake clock.
 package obs
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // EventKind labels a trace event. Kinds are strings so traces are
 // self-describing in JSONL without a decoder table.
@@ -179,45 +176,3 @@ func (m multiObserver) Event(e Event) {
 		o.Event(e)
 	}
 }
-
-// Counting tallies events by kind — the cheap observer behind benchmarks
-// and the per-question counters of BENCH_4.json. Safe for concurrent use.
-type Counting struct {
-	mu     sync.Mutex
-	counts map[EventKind]int64
-	sums   map[EventKind]int64
-}
-
-// NewCounting returns an empty counting observer.
-func NewCounting() *Counting {
-	return &Counting{counts: map[EventKind]int64{}, sums: map[EventKind]int64{}}
-}
-
-// Event implements Observer.
-func (c *Counting) Event(e Event) {
-	c.mu.Lock()
-	c.counts[e.Kind]++
-	c.sums[e.Kind] += int64(e.Count)
-	c.mu.Unlock()
-}
-
-// Count returns how many events of the kind were observed.
-func (c *Counting) Count(kind EventKind) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.counts[kind]
-}
-
-// Sum returns the total of the Count field over events of the kind (e.g.
-// total candidates pruned, total LP iterations).
-func (c *Counting) Sum(kind EventKind) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sums[kind]
-}
-
-// Func adapts a plain function to an Observer.
-type Func func(Event)
-
-// Event implements Observer.
-func (f Func) Event(e Event) { f(e) }

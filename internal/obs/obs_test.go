@@ -22,33 +22,24 @@ func TestNilSafeWrappers(t *testing.T) {
 	StopConditionCheck(nil, false)
 }
 
-func TestCountingTallies(t *testing.T) {
-	c := NewCounting()
-	QuestionAsked(c, 0, 1)
-	QuestionAsked(c, 2, 3)
-	AnswerReceived(c, 0, 1, true)
-	LPSolve(c, "optimal", 10, 0)
-	LPSolve(c, "infeasible", 4, 0)
-	CandidatePruned(c, 5)
-	CandidatePruned(c, 0) // removed nothing: not a prune event
-
-	if got := c.Count(KindQuestionAsked); got != 2 {
-		t.Errorf("questions = %d, want 2", got)
+// TestEmitHelpersTape pins what each emit helper delivers: one event of
+// its kind with its fields set, except a prune that removed nothing, which
+// is not an event at all.
+func TestEmitHelpersTape(t *testing.T) {
+	var r Recorder
+	QuestionAsked(&r, 0, 1)
+	AnswerReceived(&r, 0, 1, true)
+	LPSolve(&r, "optimal", 10, time.Millisecond)
+	CandidatePruned(&r, 5)
+	CandidatePruned(&r, 0) // removed nothing: not a prune event
+	want := []Event{
+		{Kind: KindQuestionAsked, I: 0, J: 1},
+		{Kind: KindAnswerReceived, I: 0, J: 1, Answer: true},
+		{Kind: KindLPSolve, Status: "optimal", Count: 10, Duration: time.Millisecond},
+		{Kind: KindCandidatePruned, Count: 5},
 	}
-	if got := c.Count(KindAnswerReceived); got != 1 {
-		t.Errorf("answers = %d, want 1", got)
-	}
-	if got := c.Count(KindLPSolve); got != 2 {
-		t.Errorf("lp solves = %d, want 2", got)
-	}
-	if got := c.Sum(KindLPSolve); got != 14 {
-		t.Errorf("lp iterations = %d, want 14", got)
-	}
-	if got := c.Count(KindCandidatePruned); got != 1 {
-		t.Errorf("prune events = %d, want 1", got)
-	}
-	if got := c.Sum(KindCandidatePruned); got != 5 {
-		t.Errorf("pruned total = %d, want 5", got)
+	if got := r.Events(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("tape = %+v, want %+v", got, want)
 	}
 }
 
@@ -56,24 +47,14 @@ func TestCombine(t *testing.T) {
 	if Combine() != nil || Combine(nil, nil) != nil {
 		t.Fatal("Combine of nothing must stay nil to preserve the fast path")
 	}
-	c := NewCounting()
-	if got := Combine(nil, c, nil); got != Observer(c) {
+	r := &Recorder{}
+	if got := Combine(nil, r, nil); got != Observer(r) {
 		t.Fatal("Combine with one live observer must return it unwrapped")
 	}
-	c2 := NewCounting()
-	both := Combine(c, c2)
+	r2 := &Recorder{}
+	both := Combine(r, r2)
 	QuestionAsked(both, 1, 2)
-	if c.Count(KindQuestionAsked) != 1 || c2.Count(KindQuestionAsked) != 1 {
+	if r.Len() != 1 || r2.Len() != 1 {
 		t.Fatal("Combine did not fan out to both observers")
-	}
-}
-
-func TestFuncAdapter(t *testing.T) {
-	var got []Event
-	o := Func(func(e Event) { got = append(got, e) })
-	StopConditionCheck(o, true)
-	want := []Event{{Kind: KindStopConditionCheck, OK: true}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("events = %+v, want %+v", got, want)
 	}
 }

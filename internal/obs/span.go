@@ -166,39 +166,6 @@ type SpanSink interface {
 	OnSpanEnd(SpanData)
 }
 
-// SinkFunc adapts a function to a SpanSink.
-type SinkFunc func(SpanData)
-
-// OnSpanEnd implements SpanSink.
-func (f SinkFunc) OnSpanEnd(d SpanData) { f(d) }
-
-// MultiSink fans ended spans out to several sinks; nil members are skipped.
-// Like Combine for observers, it returns nil when every argument is nil.
-func MultiSink(sinks ...SpanSink) SpanSink {
-	var live []SpanSink
-	for _, s := range sinks {
-		if s != nil {
-			live = append(live, s)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return multiSink(live)
-}
-
-type multiSink []SpanSink
-
-// OnSpanEnd implements SpanSink.
-func (m multiSink) OnSpanEnd(d SpanData) {
-	for _, s := range m {
-		s.OnSpanEnd(d)
-	}
-}
-
 // Tracer mints spans: it owns the clock spans are stamped on, the RNG span
 // and trace ids are drawn from, and the sink ended spans are delivered to.
 // A nil *Tracer is the uninstrumented fast path: Start returns a nil *Span

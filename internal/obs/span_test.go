@@ -3,6 +3,7 @@ package obs
 import (
 	"math/rand"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -61,9 +62,6 @@ func TestNilTracerIsFullyInert(t *testing.T) {
 	if id := sp.TraceID(); !id.IsZero() {
 		t.Error("nil span has a trace id")
 	}
-	if MultiSink(nil, nil) != nil {
-		t.Error("MultiSink of all-nil sinks is non-nil")
-	}
 	if NewSpanObserver(nil, nil) != nil {
 		t.Error("NewSpanObserver with nil tracer is non-nil")
 	}
@@ -94,10 +92,8 @@ func TestNilTracerConsumesNoRandomness(t *testing.T) {
 }
 
 func TestSpanLifecycle(t *testing.T) {
-	var got []SpanData
-	var mu sync.Mutex
-	sink := SinkFunc(func(d SpanData) { mu.Lock(); got = append(got, d); mu.Unlock() })
-	tr, fake := testTracer(sink, 2)
+	store := NewSpanStore(0, 0)
+	tr, fake := testTracer(store, 2)
 
 	root := tr.Start("session", WithAttrs(Attr{Key: "session", Value: "s1"}))
 	fake.Advance(time.Second)
@@ -109,6 +105,7 @@ func TestSpanLifecycle(t *testing.T) {
 	child.End() // idempotent: only one delivery
 	root.End()
 
+	got, _ := store.Trace(root.TraceID())
 	if len(got) != 2 {
 		t.Fatalf("sink saw %d spans, want 2", len(got))
 	}
@@ -134,12 +131,16 @@ func TestSpanLifecycle(t *testing.T) {
 }
 
 func TestSetStatusError(t *testing.T) {
-	var got SpanData
-	tr, _ := testTracer(SinkFunc(func(d SpanData) { got = d }), 3)
+	store := NewSpanStore(0, 0)
+	tr, _ := testTracer(store, 3)
 	sp := tr.Start("x")
 	sp.SetStatus(errBoom)
 	sp.End()
-	if got.Status != "error" || got.Note != "boom" {
+	spans, _ := store.Trace(sp.TraceID())
+	if len(spans) != 1 {
+		t.Fatalf("store holds %d spans, want 1", len(spans))
+	}
+	if got := spans[0]; got.Status != "error" || got.Note != "boom" {
 		t.Fatalf("status %q note %q, want error/boom", got.Status, got.Note)
 	}
 }
@@ -180,17 +181,17 @@ func TestRemoteContinuesTrace(t *testing.T) {
 }
 
 // TestTracerConcurrentSessions exercises the locking under -race: many
-// goroutines, each its own per-session tracer (the server's arrangement),
-// all delivering into one shared SpanStore, plus concurrent attribute
-// writes on a shared span.
+// goroutines, each a session rooting its own trace on one shared tracer
+// (the server's arrangement) that delivers into one SpanStore, plus
+// concurrent attribute writes on a shared span.
 func TestTracerConcurrentSessions(t *testing.T) {
 	store := NewSpanStore(64, 128)
+	tr, _ := testTracer(store, 1)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
-		go func(seed int64) {
+		go func() {
 			defer wg.Done()
-			tr, _ := testTracer(store, seed)
 			root := tr.Start("session")
 			for i := 0; i < 50; i++ {
 				q := root.StartChild("question")
@@ -199,11 +200,10 @@ func TestTracerConcurrentSessions(t *testing.T) {
 				q.End()
 			}
 			root.End()
-		}(int64(g + 1))
+		}()
 	}
 	// One shared span hammered from several goroutines.
-	shared, _ := testTracer(store, 99)
-	sp := shared.Start("shared")
+	sp := tr.Start("shared")
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(n int) {
@@ -328,6 +328,7 @@ func TestSpanStoreChunks(t *testing.T) {
 		if len(spans) != kept || dropped != len(want)-kept {
 			t.Fatalf("maxSpans %d: kept %d spans, dropped %d; want %d and %d", maxSpans, len(spans), dropped, kept, len(want)-kept)
 		}
+		want = want[len(want)-kept:] // a capped trace keeps its newest spans
 		for i, d := range spans {
 			if d.ID != want[i] {
 				t.Fatalf("maxSpans %d: span %d is %s, want %s (arrival order)", maxSpans, i, d.ID, want[i])
@@ -354,7 +355,7 @@ func TestSpanStoreChunks(t *testing.T) {
 		for _, c := range e.chunks {
 			slots += cap(c)
 		}
-		if slots-e.n >= spanChunk || (e.n < spanChunk && slots > 2*e.n) {
+		if slots-e.n-e.head >= spanChunk || (e.n < spanChunk && slots > 2*e.n) {
 			t.Fatalf("%d children, maxSpans %d: %d slots for %d spans", children, maxSpans, slots, e.n)
 		}
 	}
@@ -578,24 +579,33 @@ func TestSpanObserverLazyWindows(t *testing.T) {
 	}
 }
 
-func TestFlightRecorderRing(t *testing.T) {
-	f := NewFlightRecorder(3)
-	tr, _ := testTracer(f, 11)
-	for i := 0; i < 5; i++ {
-		sp := tr.Start("s")
-		sp.SetAttr("n", string(rune('0'+i)))
-		sp.End()
-	}
-	snap := f.Snapshot()
-	if len(snap) != 3 {
-		t.Fatalf("snapshot has %d spans, want 3", len(snap))
-	}
-	for i, d := range snap {
-		if want := string(rune('0' + 2 + i)); d.Attr("n") != want {
-			t.Errorf("snapshot[%d] = %q, want %q (oldest-first)", i, d.Attr("n"), want)
+// TestSpanStoreCapKeepsNewest: a trace past its per-trace cap keeps its
+// newest spans in arrival order — the moments before whatever went wrong —
+// and counts the oldest it let go as dropped, across chunk boundaries too.
+func TestSpanStoreCapKeepsNewest(t *testing.T) {
+	for _, c := range []struct{ spans, maxSpans int }{{12, 5}, {3*spanChunk + 7, spanChunk + 3}, {4, 1}} {
+		store := NewSpanStore(0, c.maxSpans)
+		tr, clk := testTracer(store, 12)
+		root := tr.Start("session")
+		for i := 0; i < c.spans; i++ {
+			clk.Advance(time.Millisecond)
+			sp := root.StartChild("q")
+			sp.SetAttr("n", strconv.Itoa(i))
+			sp.End()
 		}
-	}
-	if got := len(NewFlightRecorder(0).Snapshot()); got != 0 {
-		t.Errorf("fresh recorder snapshot has %d spans", got)
+		spans, dropped := store.Trace(root.TraceID())
+		if len(spans) != c.maxSpans || dropped != c.spans-c.maxSpans {
+			t.Fatalf("%d spans, cap %d: kept %d, dropped %d; want %d and %d",
+				c.spans, c.maxSpans, len(spans), dropped, c.maxSpans, c.spans-c.maxSpans)
+		}
+		for i, d := range spans {
+			if want := strconv.Itoa(c.spans - c.maxSpans + i); d.Attr("n") != want {
+				t.Fatalf("cap %d: span %d is n=%s, want n=%s (newest, arrival order)", c.maxSpans, i, d.Attr("n"), want)
+			}
+		}
+		sums := store.Traces()
+		if len(sums) != 1 || sums[0].Spans != c.maxSpans || sums[0].Dropped != dropped || !sums[0].Start.Equal(spans[0].Start) {
+			t.Fatalf("cap %d: listing %+v, want %d spans from %v", c.maxSpans, sums, c.maxSpans, spans[0].Start)
+		}
 	}
 }

@@ -2,14 +2,12 @@ package obs
 
 // SpanStore keeps recently ended spans in memory, grouped by trace, so
 // /debug/ist/traces can serve span trees and waterfalls without any
-// external collector. It is strictly bounded: at most maxTraces traces
-// (least-recently-updated evicted first) of at most maxSpansPerTrace spans
-// each, so a chatty session can never grow the process heap unboundedly.
-//
-// FlightRecorder is the other consumer of ended spans: a fixed ring of the
-// most recent spans, snapshotted to the trace dir when something goes wrong
-// (panic rescue, 409 conflict, admission shed, budget exhaustion) — the
-// span-level equivalent of a black box.
+// external collector, and the server's flight dumps can read the moments
+// before an anomaly back out of it. It is strictly bounded: at most
+// maxTraces traces (least-recently-updated evicted first) of at most
+// maxSpansPerTrace spans each, so a chatty session can never grow the
+// process heap unboundedly. A trace at its cap drops its oldest span for
+// each new one: what led up to the latest span is what an operator needs.
 
 import (
 	"fmt"
@@ -35,12 +33,24 @@ const spanChunk = 16
 
 type traceEntry struct {
 	chunks  [][]SpanData // spans in arrival order; only the last chunk has room
+	head    int          // leading slots of chunks[0] whose spans were dropped
 	n       int          // spans stored
 	updated int64        // store-local tick of last append, for LRU eviction
-	dropped int          // spans discarded once the per-trace cap was hit
+	dropped int          // oldest spans discarded to keep the trace at its cap
 }
 
-func (e *traceEntry) add(d SpanData) {
+// add appends d, first dropping the oldest span when the trace already
+// holds max spans.
+func (e *traceEntry) add(d SpanData, max int) {
+	if e.n >= max {
+		e.chunks[0][e.head] = SpanData{} // let its attrs be collected
+		e.head++
+		e.n--
+		e.dropped++
+		if e.head == len(e.chunks[0]) {
+			e.chunks, e.head = e.chunks[1:], 0
+		}
+	}
 	last := len(e.chunks) - 1
 	switch {
 	case last < 0:
@@ -54,11 +64,19 @@ func (e *traceEntry) add(d SpanData) {
 	e.n++
 }
 
+// chunk returns the stored spans of chunk i (the dropped head excluded).
+func (e *traceEntry) chunk(i int) []SpanData {
+	if i == 0 {
+		return e.chunks[0][e.head:]
+	}
+	return e.chunks[i]
+}
+
 // spans returns a copy of the stored spans in arrival order.
 func (e *traceEntry) spans() []SpanData {
 	out := make([]SpanData, 0, e.n)
-	for _, c := range e.chunks {
-		out = append(out, c...)
+	for i := range e.chunks {
+		out = append(out, e.chunk(i)...)
 	}
 	return out
 }
@@ -105,11 +123,7 @@ func (s *SpanStore) OnSpanEnd(d SpanData) {
 		s.traces[d.Trace] = e
 	}
 	e.updated = s.tick
-	if e.n >= s.maxSpans {
-		e.dropped++
-		return
-	}
-	e.add(d)
+	e.add(d, s.maxSpans)
 }
 
 func (s *SpanStore) evictOldestLocked() {
@@ -144,8 +158,8 @@ func (s *SpanStore) Traces() []TraceSummary {
 	rows := make([]row, 0, len(s.traces))
 	for id, e := range s.traces {
 		sum := TraceSummary{Trace: id, Spans: e.n, Dropped: e.dropped}
-		for ci, c := range e.chunks {
-			for i, sp := range c {
+		for ci := range e.chunks {
+			for i, sp := range e.chunk(ci) {
 				if (ci == 0 && i == 0) || sp.Start.Before(sum.Start) {
 					sum.Start = sp.Start
 				}
@@ -167,8 +181,8 @@ func (s *SpanStore) Traces() []TraceSummary {
 	return out
 }
 
-// Trace returns a copy of the stored spans of one trace (nil if unknown)
-// plus how many spans the per-trace cap discarded.
+// Trace returns a copy of the stored spans of one trace in arrival order
+// (nil if unknown) plus how many older spans the per-trace cap discarded.
 func (s *SpanStore) Trace(id TraceID) (spans []SpanData, dropped int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -292,45 +306,3 @@ h1{font-size:15px}
 </style></head><body>
 <h1>trace %s · %d spans · %s</h1>
 `
-
-// FlightRecorder keeps the last N ended spans in a ring, regardless of
-// trace, implementing SpanSink. Snapshot returns them oldest-first.
-type FlightRecorder struct {
-	mu   sync.Mutex
-	ring []SpanData
-	next int
-	full bool
-}
-
-// NewFlightRecorder builds a recorder holding the most recent n spans
-// (<=0 picks 256).
-func NewFlightRecorder(n int) *FlightRecorder {
-	if n <= 0 {
-		n = 256
-	}
-	return &FlightRecorder{ring: make([]SpanData, n)}
-}
-
-// OnSpanEnd implements SpanSink.
-func (f *FlightRecorder) OnSpanEnd(d SpanData) {
-	f.mu.Lock()
-	f.ring[f.next] = d
-	f.next++
-	if f.next == len(f.ring) {
-		f.next, f.full = 0, true
-	}
-	f.mu.Unlock()
-}
-
-// Snapshot returns the recorded spans, oldest first.
-func (f *FlightRecorder) Snapshot() []SpanData {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.full {
-		return append([]SpanData(nil), f.ring[:f.next]...)
-	}
-	out := make([]SpanData, 0, len(f.ring))
-	out = append(out, f.ring[f.next:]...)
-	out = append(out, f.ring[:f.next]...)
-	return out
-}

@@ -121,8 +121,13 @@ func walStoreSweep(policy wal.SyncPolicy) faultinject.CrashPointSweep {
 			if err != nil {
 				return 0
 			}
+			// A finish of an id no acknowledged create left live records
+			// nothing (SessionStore.Finish), so its ack is no event.
+			ackedFold := newEventFold()
 			for _, op := range crashScript {
-				if applyToStore(st, op) == nil {
+				_, live := ackedFold.recs[op.id]
+				if applyToStore(st, op) == nil && (op.op != "finish" || live) {
+					applyToFold(&ackedFold, op)
 					acked++
 				}
 			}

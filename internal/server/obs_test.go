@@ -191,7 +191,7 @@ func TestTraceDirSurvivesDelete(t *testing.T) {
 // TestObserveFacade pins the public wiring: Observe attaches to every
 // instrumented algorithm and reports false for baselines that cannot trace.
 func TestObserveFacade(t *testing.T) {
-	c := obs.NewCounting()
+	c := &obs.Recorder{}
 	if !ist.Observe(ist.NewRH(1), c) {
 		t.Fatal("Observe(RH) = false")
 	}

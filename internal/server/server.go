@@ -87,9 +87,9 @@ type Options struct {
 	AdmissionTimeout time.Duration
 	// Tracing enables the span layer (DESIGN.md §13): a session-root →
 	// question → phase span tree per session, W3C traceparent continuation
-	// from clients, /debug/ist/traces, and per-session flight recorders.
+	// from clients, /debug/ist/traces, and flight dumps read from it.
 	// Off, the tracer is nil end to end and every run is bit-identical to a
-	// pre-span server (proven by TestNilTracerTranscriptIdentical).
+	// pre-span server (proven by TestNilTracerTranscriptsDeepEqual).
 	Tracing bool
 	// TraceMaxBytes caps each session's JSONL trace file; past it a single
 	// "_truncated" marker is written and the rest of the stream is dropped
@@ -141,9 +141,11 @@ type Server struct {
 	prepMisses         *obs.Counter
 	prepBytes          *obs.Gauge
 
-	// spans is the bounded in-memory span repository behind
-	// /debug/ist/traces (nil when Options.Tracing is off).
-	spans *obs.SpanStore
+	// tracer mints every session's spans into spans, the bounded
+	// in-memory repository behind /debug/ist/traces and flight dumps (both
+	// nil when Options.Tracing is off).
+	tracer *obs.Tracer
+	spans  *obs.SpanStore
 
 	// gate bounds concurrent admission to the state-changing handlers
 	// (nil = unbounded); draining flips /readyz to 503 and refuses new
@@ -190,21 +192,19 @@ type sessionState struct {
 	// algName is the API name the session was created with ("rh", "2dpi",
 	// ...), labeling the questions-vs-bound gauges.
 	algName string
-	// Span plumbing (all nil when Options.Tracing is off): the session's
-	// tracer, its flight-recorder ring, the session-root span, and the
-	// Observer bridging algorithm events into question/phase spans.
-	tracer  *obs.Tracer
-	flight  *obs.FlightRecorder
+	// Span plumbing (both nil when Options.Tracing is off): the
+	// session-root span and the Observer bridging algorithm events into
+	// question/phase spans.
 	root    *obs.Span
 	spanObs *obs.SpanObserver
 }
 
-// startSpan opens a server span for this session: continuing remote (the
+// startSpan opens a server span for a session: continuing remote (the
 // client's traceparent) when valid, else nesting under the open question
 // span, else under the session root. Nil when tracing is off — every use is
 // nil-safe.
-func (st *sessionState) startSpan(name string, remote obs.SpanContext, attrs ...obs.Attr) *obs.Span {
-	if st.tracer == nil {
+func (srv *Server) startSpan(st *sessionState, name string, remote obs.SpanContext, attrs ...obs.Attr) *obs.Span {
+	if srv.tracer == nil {
 		return nil
 	}
 	opts := []obs.SpanOption{obs.WithAttrs(attrs...)}
@@ -218,7 +218,7 @@ func (st *sessionState) startSpan(name string, remote obs.SpanContext, attrs ...
 		}
 		opts = append(opts, obs.ChildOf(parent))
 	}
-	return st.tracer.Start(name, opts...)
+	return srv.tracer.Start(name, opts...)
 }
 
 // New builds a server over a preprocessed point set. If opt.Store is set,
@@ -278,6 +278,9 @@ func New(points []ist.Point, k int, opt Options) (*Server, error) {
 		"Approximate resident bytes of memoized preprocessing values.")
 	if opt.Tracing {
 		srv.spans = obs.NewSpanStore(0, 0)
+		// Span ids come from their own generator, never an algorithm's, so
+		// tracing consumes none of a session's randomness.
+		srv.tracer = obs.NewTracer(srv.clk, srv.spans, rand.New(rand.NewSource(opt.Seed^0x7370616e))) // "span"
 	}
 	srv.gate = newGate(opt.MaxInflight, opt.AdmissionTimeout)
 	if opt.Store != nil {
@@ -331,25 +334,20 @@ func (srv *Server) sessionOptions(id string, st *sessionState) []ist.SessionOpti
 	return opts
 }
 
-// setupTracing builds a session's span plumbing: a tracer whose ids derive
-// deterministically from the session seed, sinking into the shared span
-// store plus the session's own flight recorder, a session-root span that
-// joins the client's propagated trace when one arrived, and the observer
-// bridging algorithm events into question/phase spans. A no-op (leaving
-// every field nil) when Options.Tracing is off — the nil path consumes no
-// randomness and must stay bit-identical to an untraced server.
-func (srv *Server) setupTracing(id string, st *sessionState, seed int64, remote obs.SpanContext) {
-	if !srv.opt.Tracing {
+// setupTracing opens a session's span plumbing on the server's tracer: a
+// session-root span that joins the client's propagated trace when one
+// arrived, and the observer bridging algorithm events into question/phase
+// spans. A no-op (leaving both fields nil) when Options.Tracing is off —
+// the nil path must stay bit-identical to an untraced server.
+func (srv *Server) setupTracing(id string, st *sessionState, remote obs.SpanContext) {
+	if srv.tracer == nil {
 		return
 	}
-	st.flight = obs.NewFlightRecorder(0)
-	rng := rand.New(rand.NewSource(seed ^ 0x7370616e)) // "span": ids are private to the tracer
-	st.tracer = obs.NewTracer(srv.clk, obs.MultiSink(srv.spans, st.flight), rng)
-	st.root = st.tracer.Start("session", obs.Remote(remote), obs.WithAttrs(
+	st.root = srv.tracer.Start("session", obs.Remote(remote), obs.WithAttrs(
 		obs.Attr{Key: "session", Value: id},
 		obs.Attr{Key: "algorithm", Value: st.algName},
 	))
-	st.spanObs = obs.NewSpanObserver(st.tracer, st.root)
+	st.spanObs = obs.NewSpanObserver(srv.tracer, st.root)
 }
 
 // algorithmByName maps the API's algorithm names to seeded constructors.
@@ -412,7 +410,7 @@ func (srv *Server) rehydrate() error {
 		// A rehydrated session roots a fresh trace: the client's original
 		// trace id died with the previous process, and replay spans would
 		// only pollute it anyway.
-		srv.setupTracing(rec.ID, st, rec.Seed, obs.SpanContext{})
+		srv.setupTracing(rec.ID, st, obs.SpanContext{})
 		s, err := ist.ResumeSessionContext(context.Background(), alg, srv.points, srv.k, rec.Answers, srv.sessionOptions(rec.ID, st)...)
 		if err != nil {
 			log.Printf("server: session %s failed to replay: %v; dropping", rec.ID, err)
@@ -775,7 +773,7 @@ func (srv *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	// session's trace id, so every span this session ever emits — on either
 	// side of the wire — shares it.
 	remote, _ := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
-	srv.setupTracing(id, st, seed, remote)
+	srv.setupTracing(id, st, remote)
 	// The create span brackets the server-side request work; the algorithm
 	// events it triggers assemble under the first "question" span, which the
 	// SpanObserver opens at the first LP solve (see internal/obs/spanobs.go).
@@ -897,7 +895,7 @@ func (srv *Server) handleAnswer(w http.ResponseWriter, r *http.Request, id strin
 		// advance it but the next seq), so the current state is bit-for-bit
 		// the response the original request would have carried.
 		srv.answerReplays.Inc()
-		sp := st.startSpan("idempotent-replay", remote, obs.Attr{Key: "seq", Value: strconv.Itoa(seq)})
+		sp := srv.startSpan(st, "idempotent-replay", remote, obs.Attr{Key: "seq", Value: strconv.Itoa(seq)})
 		sp.End()
 		st.mu.Unlock()
 		srv.writeState(w, id, st, http.StatusOK)
@@ -906,7 +904,7 @@ func (srv *Server) handleAnswer(w http.ResponseWriter, r *http.Request, id strin
 		// Stale or future seq (or an answer to a finished session): refuse,
 		// but hand back the authoritative state so the client can resync.
 		srv.seqConflicts.Inc()
-		sp := st.startSpan("conflict", remote,
+		sp := srv.startSpan(st, "conflict", remote,
 			obs.Attr{Key: "quoted", Value: strconv.Itoa(seq)},
 			obs.Attr{Key: "expected", Value: strconv.Itoa(st.seq)})
 		sp.SetStatus(errSeqConflict)
@@ -916,7 +914,7 @@ func (srv *Server) handleAnswer(w http.ResponseWriter, r *http.Request, id strin
 		srv.writeState(w, id, st, http.StatusConflict)
 		return
 	}
-	ansSp := st.startSpan("answer", remote,
+	ansSp := srv.startSpan(st, "answer", remote,
 		obs.Attr{Key: "seq", Value: strconv.Itoa(*req.Seq)},
 		obs.Attr{Key: "prefer", Value: strconv.Itoa(req.Prefer)})
 	defer ansSp.End()
@@ -1058,7 +1056,7 @@ func (srv *Server) teardown(id string, st *sessionState) {
 	st.mu.Unlock()
 	if failed != nil {
 		// A torn-down failed session is almost always a rescued panic: dump
-		// the flight recorder so the last spans before death are on disk.
+		// its trace's last spans so the moments before death are on disk.
 		srv.dumpFlight(id, st, "session-failure")
 	}
 	srv.closeTrace(st)

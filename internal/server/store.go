@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"ist/internal/obs"
@@ -29,7 +30,8 @@ type SessionStore interface {
 	// Answer appends one answer to the session's log.
 	Answer(id string, preferFirst bool) error
 	// Finish forgets a session — completed, deleted, expired, or failed —
-	// so it will not be rehydrated on restart.
+	// so it will not be rehydrated on restart. Finishing an id with no live
+	// record (already finished, or never created) records nothing.
 	Finish(id string) error
 	// Load returns the record of every unfinished session plus the highest
 	// numeric session id ever created (so a restarted server never reuses
@@ -94,7 +96,9 @@ func (m *MemStore) Answer(id string, preferFirst bool) error {
 func (m *MemStore) Finish(id string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.fold.apply(storeEvent{Op: "finish", ID: id})
+	if _, ok := m.fold.recs[id]; ok {
+		m.fold.apply(storeEvent{Op: "finish", ID: id})
+	}
 	return nil
 }
 
@@ -124,7 +128,6 @@ type storeEvent struct {
 // and its snapshots cannot drift apart.
 type eventFold struct {
 	recs   map[string]*SessionRecord
-	order  []string
 	lastID int64
 }
 
@@ -142,9 +145,6 @@ func (f *eventFold) apply(ev storeEvent) {
 		}
 		cp := *ev.Rec
 		cp.Answers = append([]bool(nil), ev.Rec.Answers...)
-		if _, seen := f.recs[ev.ID]; !seen {
-			f.order = append(f.order, ev.ID)
-		}
 		f.recs[ev.ID] = &cp
 		if n := sessionIDNum(ev.ID); n > f.lastID {
 			f.lastID = n
@@ -158,15 +158,28 @@ func (f *eventFold) apply(ev storeEvent) {
 	}
 }
 
-// records returns the unfinished sessions in creation order, deep-copied.
+// records returns the unfinished sessions, deep-copied, in creation order:
+// ids are minted in increasing numeric order, so that is numeric id order.
 func (f *eventFold) records() []SessionRecord {
-	out := make([]SessionRecord, 0, len(f.recs))
-	for _, id := range f.order {
-		if rec, ok := f.recs[id]; ok {
-			cp := *rec
-			cp.Answers = append([]bool(nil), rec.Answers...)
-			out = append(out, cp)
+	type numbered struct {
+		n   int64
+		id  string
+		rec *SessionRecord
+	}
+	live := make([]numbered, 0, len(f.recs))
+	for id, rec := range f.recs {
+		live = append(live, numbered{sessionIDNum(id), id, rec})
+	}
+	sort.Slice(live, func(i, j int) bool {
+		if live[i].n != live[j].n {
+			return live[i].n < live[j].n
 		}
+		return live[i].id < live[j].id
+	})
+	out := make([]SessionRecord, len(live))
+	for i, l := range live {
+		out[i] = *l.rec
+		out[i].Answers = append([]bool(nil), l.rec.Answers...)
 	}
 	return out
 }

@@ -8,10 +8,11 @@ package server
 //	GET /debug/ist/traces?trace=<32hex>       -> JSON span tree of one trace
 //	GET /debug/ist/traces?trace=<32hex>&format=html -> waterfall HTML
 //
-// This file also holds the flight-recorder dump path: on a seq conflict, an
+// This file also holds the flight-dump path: on a seq conflict, an
 // admission shed, a session failure (rescued panic) or budget exhaustion,
-// the session's recent spans are written to <TraceDir>/<id>.flight.json so
-// the moments before the anomaly survive the bounded in-memory stores.
+// the last spans of the session's trace, as the span store holds them, are
+// written to <TraceDir>/<id>.flight.json so the moments before the anomaly
+// outlive the bounded in-memory store.
 
 import (
 	"encoding/json"
@@ -72,7 +73,10 @@ func (srv *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// flightDump is the on-disk shape of a flight-recorder dump.
+// flightSpans is how many of a trace's newest spans a flight dump keeps.
+const flightSpans = 256
+
+// flightDump is the on-disk shape of a flight dump.
 type flightDump struct {
 	Session string         `json:"session"`
 	Reason  string         `json:"reason"`
@@ -80,15 +84,21 @@ type flightDump struct {
 	Spans   []obs.SpanData `json:"spans"`
 }
 
-// dumpFlight writes the session's flight-recorder ring to the trace dir.
-// A later dump for the same session overwrites an earlier one — the file is
-// a black box, not an archive. No-op without tracing, without a trace dir,
-// or for an unknown session; callers must not hold st.mu (file IO).
+// dumpFlight writes the last flightSpans spans of the session's trace, in
+// arrival order, to the trace dir. A later dump for the same session
+// overwrites an earlier one — the file is a black box, not an archive. A
+// trace the store has already evicted dumps no spans. No-op without
+// tracing, without a trace dir, or for an unknown session; callers must
+// not hold st.mu (file IO).
 func (srv *Server) dumpFlight(id string, st *sessionState, reason string) {
-	if st == nil || st.flight == nil || srv.opt.TraceDir == "" {
+	if st == nil || st.root == nil || srv.opt.TraceDir == "" {
 		return
 	}
-	dump := flightDump{Session: id, Reason: reason, At: srv.now(), Spans: st.flight.Snapshot()}
+	spans, _ := srv.spans.Trace(st.root.TraceID())
+	if len(spans) > flightSpans {
+		spans = spans[len(spans)-flightSpans:]
+	}
+	dump := flightDump{Session: id, Reason: reason, At: srv.now(), Spans: spans}
 	payload, err := json.MarshalIndent(dump, "", "  ")
 	if err != nil {
 		return

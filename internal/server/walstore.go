@@ -182,8 +182,16 @@ func (s *WALStore) WALSeq() uint64 {
 	return s.log.SegmentSeq()
 }
 
-// Finish implements SessionStore.
+// Finish implements SessionStore. An id with no live record appends
+// nothing: the server finishes a certified session itself, so the client's
+// DELETE (or expiry) that follows must not cost a second WAL append.
 func (s *WALStore) Finish(id string) error {
+	s.mu.Lock()
+	_, ok := s.fold.recs[id]
+	s.mu.Unlock()
+	if !ok {
+		return nil
+	}
 	return s.append(storeEvent{Op: "finish", ID: id})
 }
 
