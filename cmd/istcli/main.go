@@ -55,6 +55,10 @@ func main() {
 		server   = flag.String("server", "", "drive a remote istserve session at this base URL (e.g. http://localhost:8080) instead of running locally; retries and duplicate deliveries are absorbed by the exactly-once protocol")
 	)
 	flag.Parse()
+	if err := checkFlags(*k, *want, *algName); err != nil {
+		fmt.Fprintln(os.Stderr, "istcli:", err)
+		os.Exit(2)
+	}
 
 	if *server != "" {
 		if *storeDir != "" || *load != "" || *want > 1 {
@@ -202,15 +206,9 @@ func main() {
 	}
 
 	if *want > 1 {
-		var multi ist.MultiAlgorithm
-		switch *algName {
-		case "rh":
+		multi := ist.NewHDPIMulti(*seed)
+		if *algName == "rh" {
 			multi = ist.NewRHMulti(*seed)
-		case "hdpi":
-			multi = ist.NewHDPIMulti(*seed)
-		default:
-			fmt.Fprintln(os.Stderr, "istcli: -want > 1 supports only rh and hdpi")
-			os.Exit(1)
 		}
 		if *trace {
 			ist.Observe(multi, ist.NewTraceWriter(os.Stderr))
@@ -271,6 +269,22 @@ func main() {
 			fmt.Printf("Session complete; transcript store %s removed.\n", *storeDir)
 		}
 	}
+}
+
+// checkFlags rejects -k and -want values no run can honour, so a bad
+// command line fails before any dataset is built.
+func checkFlags(k, want int, alg string) error {
+	switch {
+	case k < 1:
+		return fmt.Errorf("-k must be at least 1, got %d", k)
+	case want < 1:
+		return fmt.Errorf("-want must be at least 1, got %d", want)
+	case want > k:
+		return fmt.Errorf("-want %d exceeds -k %d: at most k of the top-k can be returned", want, k)
+	case want > 1 && alg != "rh" && alg != "hdpi":
+		return fmt.Errorf("-want > 1 supports only -alg rh and hdpi, got %s", alg)
+	}
+	return nil
 }
 
 // transcriptMeta is the first record of a -store-dir transcript: it pins

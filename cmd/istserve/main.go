@@ -78,6 +78,10 @@ func main() {
 		prepBytes   = flag.Int64("preprocess-cache-max-bytes", 64<<20, "byte cap on memoized preprocessing values, evicted LRU (<=0 = unbounded)")
 	)
 	flag.Parse()
+	if err := checkFlags(*k); err != nil {
+		fmt.Fprintln(os.Stderr, "istserve:", err)
+		os.Exit(2)
+	}
 
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
@@ -205,6 +209,15 @@ func main() {
 		srv.Close()
 		log.Print("istserve: drained, bye")
 	}
+}
+
+// checkFlags rejects a -k no session can honour, so a bad command line
+// fails before the dataset is built or the listener comes up.
+func checkFlags(k int) error {
+	if k < 1 {
+		return fmt.Errorf("-k must be at least 1, got %d", k)
+	}
+	return nil
 }
 
 // bootHandler serves the window between bind and rehydration: alive but not

@@ -6,139 +6,22 @@ import (
 	"ist/internal/geom"
 	"ist/internal/obs"
 	"ist/internal/oracle"
-	"ist/internal/polytope"
 	"ist/internal/prep"
 )
 
 // This file implements the motivation-study variants of Section 6.5:
 // returning `want` (SomeTopK, Section 6.5.2) or all k (AllTopK,
 // Section 6.5.1) of the user's top-k points. The stopping condition becomes
-// "there are `want` points which fulfil Lemma 5.5", and HD-PI additionally
-// refines its partitioning with deeper convex-point layers (the V_d set)
-// once a single partition remains.
+// "there are `want` points which fulfil Lemma 5.5"; RH's loop takes want as
+// a parameter (rh.go), while HD-PI additionally refines its partitioning
+// with deeper convex-point layers (the V_d set) once a single partition
+// remains, so HDPIMulti keeps a loop of its own.
 
-// RHMulti is RH with the modified stopping condition (RH-AllTopK /
-// RH-SomeTopK of Section 6.5).
-type RHMulti struct {
-	opt RHOptions
-}
-
-// NewRHMulti builds the multi-answer RH variant.
-func NewRHMulti(opt RHOptions) *RHMulti {
-	return &RHMulti{opt: NewRH(opt).opt}
-}
-
-// Name implements MultiAlgorithm.
-func (a *RHMulti) Name() string { return "RH-SomeTopK" }
-
-// SetObserver implements Observable.
-func (a *RHMulti) SetObserver(o obs.Observer) { a.opt.Observer = o }
-
-// RunMulti implements MultiAlgorithm.
-func (a *RHMulti) RunMulti(points []geom.Vector, k, want int, o oracle.Oracle) []int {
-	return a.runMulti(points, k, want, o, obsTracker(a.opt.Observer))
-}
-
-// RunMultiBudgeted implements BudgetedMulti. On exhaustion it returns the
-// top-want at R's centre, best-effort.
-func (a *RHMulti) RunMultiBudgeted(points []geom.Vector, k, want int, o oracle.Oracle, b Budget) (idx []int, cert Certificate) {
-	tr := newTracker(b, a.opt.strategy(), a.opt.StopCheckEvery, a.opt.Observer)
-	defer tr.rescueMulti(points, k, want, &idx, &cert)
-	idx = a.runMulti(points, k, want, o, tr)
-	cert = tr.certificate(points, k)
-	return idx, cert
-}
-
-// bestEffortRegionMulti finishes a budget-exhausted multi run on R.
-func bestEffortRegionMulti(points []geom.Vector, want int, R *polytope.Polytope, tr *tracker) []int {
-	verts := R.Vertices()
-	if len(verts) == 0 {
-		tr.finish(false, tr.stopReason(), nil)
-		return oracle.TopK(points, uniformUtility(len(points[0])), want)
-	}
-	tr.finish(false, tr.stopReason(), verts)
-	return oracle.TopK(points, R.Center(), want)
-}
-
-func (a *RHMulti) runMulti(points []geom.Vector, k, want int, o oracle.Oracle, tr *tracker) []int {
-	if want > k {
-		panic(fmt.Sprintf("core: want %d > k %d", want, k))
-	}
-	n := len(points)
-	d := len(points[0])
-	rng := a.opt.Rng
-	R := polytope.NewSimplex(d)
-	perm := rng.Perm(n)
-
-	strat := a.opt.strategy()
-	stopEvery := a.opt.StopCheckEvery
-	var stop stopScratch
-
-	i := 1
-	round := 0
-	for {
-		if tr.exhausted() {
-			return bestEffortRegionMulti(points, want, R, tr)
-		}
-		tr.maybeDegrade()
-		if tr != nil && tr.active {
-			strat, stopEvery = tr.strategy, tr.stopEvery
-		}
-		if round%stopEvery == 0 {
-			verts := R.Vertices()
-			if len(verts) == 0 {
-				tr.finish(false, StopDegenerate, nil)
-				return oracle.TopK(points, uniformUtility(d), want)
-			}
-			probe := R.Sample(rng)
-			tr.observe(probe, verts)
-			res, resOK := stop.lemma55Multi(points, k, verts, probe, want)
-			tr.stopCheck(resOK)
-			if resOK {
-				tr.finish(true, StopConverged, verts)
-				return res
-			}
-		}
-		round++
-
-		center := R.Center()
-		tr.observe(center, nil)
-		bestJ, bestDist := -1, 0.0
-		for {
-			for j := 0; j < i; j++ {
-				if tr.exhausted() {
-					return bestEffortRegionMulti(points, want, R, tr)
-				}
-				h := geom.NewHyperplane(points[perm[i]], points[perm[j]])
-				if h.Degenerate() {
-					continue
-				}
-				if R.ClassifyWith(h, strat, nil) != polytope.ClassIntersect {
-					continue
-				}
-				if dist := h.Distance(center); bestJ < 0 || dist < bestDist {
-					bestJ, bestDist = j, dist
-				}
-			}
-			if bestJ >= 0 {
-				break
-			}
-			i++
-			if i >= n {
-				// Ranking fixed over R: the top-k at the centre is exact.
-				tr.finish(true, StopConverged, R.Vertices())
-				return oracle.TopK(points, center, want)
-			}
-		}
-		pi, pj := points[perm[i]], points[perm[bestJ]]
-		h := geom.NewHyperplane(pi, pj)
-		tr.ask(perm[i], perm[bestJ])
-		ans := o.Prefer(pi, pj)
-		if !ans {
-			h = h.Flip()
-		}
-		tr.question(perm[i], perm[bestJ], ans)
-		R.CutObserved(h, tr.observer())
+// checkWant panics unless 1 <= want <= k: a multi-answer run returns at
+// least one point and cannot promise more of the top-k than k.
+func checkWant(k, want int) {
+	if want < 1 || want > k {
+		panic(fmt.Sprintf("core: want %d outside [1, k = %d]", want, k))
 	}
 }
 
@@ -166,23 +49,19 @@ func (a *HDPIMulti) SetPrepCache(c *prep.Cache, fingerprint uint64) {
 
 // RunMulti implements MultiAlgorithm.
 func (a *HDPIMulti) RunMulti(points []geom.Vector, k, want int, o oracle.Oracle) []int {
-	return a.runMulti(points, k, want, o, obsTracker(a.opt.Observer))
+	checkWant(k, want)
+	return a.run(points, k, want, o, obsTracker(a.opt.Observer))
 }
 
-// RunMultiBudgeted implements BudgetedMulti. On exhaustion it returns the
+// RunMultiBudgeted implements MultiAlgorithm. On exhaustion it returns the
 // top-want at the mean vertex of the surviving partitions, best-effort.
-func (a *HDPIMulti) RunMultiBudgeted(points []geom.Vector, k, want int, o oracle.Oracle, b Budget) (idx []int, cert Certificate) {
+func (a *HDPIMulti) RunMultiBudgeted(points []geom.Vector, k, want int, o oracle.Oracle, b Budget) ([]int, Certificate) {
+	checkWant(k, want)
 	tr := newTracker(b, a.opt.Strategy, a.opt.StopCheckEvery, a.opt.Observer)
-	defer tr.rescueMulti(points, k, want, &idx, &cert)
-	idx = a.runMulti(points, k, want, o, tr)
-	cert = tr.certificate(points, k)
-	return idx, cert
+	return tr.guard(points, k, want, func() []int { return a.run(points, k, want, o, tr) })
 }
 
-func (a *HDPIMulti) runMulti(points []geom.Vector, k, want int, o oracle.Oracle, tr *tracker) []int {
-	if want > k {
-		panic(fmt.Sprintf("core: want %d > k %d", want, k))
-	}
+func (a *HDPIMulti) run(points []geom.Vector, k, want int, o oracle.Oracle, tr *tracker) []int {
 	d := len(points[0])
 	rng := a.opt.Rng
 
@@ -215,32 +94,20 @@ func (a *HDPIMulti) runMulti(points []geom.Vector, k, want int, o oracle.Oracle,
 
 	vd := map[int]bool{} // confirmed points (paper's V_d)
 	V := convex(nil)
-	hd := &HDPI{opt: a.opt}
-	C := hd.buildPartitions(points, V, d, tr)
+	C := buildPartitions(points, V, d, tr)
 	gamma := newGammaTable(points, V, C, a.opt)
 	var stop stopScratch
 	stopEvery := a.opt.StopCheckEvery
 	round := 0
 
-	// bestEffort answers from whatever region survives; certified=false
-	// because the refinement could not finish (degenerate geometry, erring
-	// user, or an exhausted budget).
-	bestEffort := func(reason StopReason) []int {
-		verts := allVertices(C)
-		if len(verts) == 0 {
-			tr.finish(false, reason, nil)
-			return oracle.TopK(points, uniformUtility(d), want)
-		}
-		tr.finish(false, reason, verts)
-		return oracle.TopK(points, geom.Mean(verts), want)
-	}
-
+	// Every exit but Lemma 5.5 is best effort: the refinement could not
+	// finish (degenerate geometry, an erring user, or an exhausted budget).
 	for {
 		if tr.exhausted() {
-			return bestEffort(tr.stopReason())
+			return bestEffortCells(points, want, C, tr, tr.stopReason())
 		}
 		if len(C) == 0 {
-			return bestEffort(StopDegenerate)
+			return bestEffortCells(points, want, C, tr, StopDegenerate)
 		}
 		tr.maybeDegrade()
 		if tr != nil && tr.active {
@@ -251,9 +118,9 @@ func (a *HDPIMulti) runMulti(points []geom.Vector, k, want int, o oracle.Oracle,
 			verts := allVertices(C)
 			probe := C[rng.Intn(len(C))].poly.Sample(rng)
 			tr.observe(probe, verts)
-			res, resOK := stop.lemma55Multi(points, k, verts, probe, want)
-			tr.stopCheck(resOK)
-			if resOK {
+			res := stop.lemma55(points, k, verts, probe, want)
+			tr.stopCheck(res != nil)
+			if res != nil {
 				tr.finish(true, StopConverged, verts)
 				return res
 			}
@@ -280,11 +147,11 @@ func (a *HDPIMulti) runMulti(points []geom.Vector, k, want int, o oracle.Oracle,
 				}
 			}
 			if len(vd) >= k || !progress {
-				return bestEffort(StopDegenerate)
+				return bestEffortCells(points, want, C, tr, StopDegenerate)
 			}
 			Vnext := convex(vd)
 			if len(Vnext) == 0 {
-				return bestEffort(StopDegenerate)
+				return bestEffortCells(points, want, C, tr, StopDegenerate)
 			}
 			var refined []partition
 			for _, part := range C {
@@ -312,10 +179,10 @@ func (a *HDPIMulti) runMulti(points []geom.Vector, k, want int, o oracle.Oracle,
 				}
 			}
 			if tr.exhausted() {
-				return bestEffort(tr.stopReason())
+				return bestEffortCells(points, want, C, tr, tr.stopReason())
 			}
 			if len(refined) == 0 {
-				return bestEffort(StopDegenerate)
+				return bestEffortCells(points, want, C, tr, StopDegenerate)
 			}
 			C = refined
 			gamma = newGammaTable(points, Vnext, C, a.opt)
@@ -334,8 +201,7 @@ func (a *HDPIMulti) runMulti(points []geom.Vector, k, want int, o oracle.Oracle,
 		C = gamma.apply(h, C, bestRow)
 		tr.pruned(beforeCells - len(C))
 		if len(C) == 0 {
-			tr.finish(false, StopDegenerate, nil)
-			return oracle.TopK(points, uniformUtility(d), want)
+			return bestEffortCells(points, want, C, tr, StopDegenerate)
 		}
 	}
 }

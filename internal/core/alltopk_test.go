@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -35,7 +36,7 @@ func TestRHMultiAllTopK(t *testing.T) {
 		ds := dataset.AntiCorrelated(rng, 80, d)
 		band := skyband.Filter(ds.Points, skyband.KSkyband(ds.Points, k))
 		u := oracle.RandomUtility(rng, d)
-		alg := NewRHMulti(RHOptions{Rng: rand.New(rand.NewSource(int64(trial))), UseBall: true})
+		alg := NewRH(RHOptions{Rng: rand.New(rand.NewSource(int64(trial))), UseBall: true})
 		user := oracle.NewUser(u)
 		got := alg.RunMulti(band, k, k, user)
 		checkMulti(t, alg.Name(), got, band, u, k, k)
@@ -69,7 +70,7 @@ func TestSomeTopKNeedsFewerQuestionsThanAll(t *testing.T) {
 		for trial := 0; trial < 5; trial++ {
 			u := oracle.RandomUtility(rng, 3)
 			user := oracle.NewUser(u)
-			alg := NewRHMulti(RHOptions{Rng: rand.New(rand.NewSource(int64(trial)))})
+			alg := NewRH(RHOptions{Rng: rand.New(rand.NewSource(int64(trial)))})
 			alg.RunMulti(band, k, want, user)
 			total += user.Questions()
 		}
@@ -81,29 +82,52 @@ func TestSomeTopKNeedsFewerQuestionsThanAll(t *testing.T) {
 	}
 }
 
-func TestMultiWantGreaterThanKPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	alg := NewRHMulti(RHOptions{Rng: rand.New(rand.NewSource(1))})
+// TestMultiWantOutOfRangePanics: every multi-answer entry point rejects a
+// want outside [1, k] before it asks anything, budgeted or not.
+func TestMultiWantOutOfRangePanics(t *testing.T) {
+	const k = 2
 	ds := dataset.Independent(rand.New(rand.NewSource(1)), 10, 2)
-	alg.RunMulti(ds.Points, 2, 3, oracle.NewUser(oracle.RandomUtility(rand.New(rand.NewSource(2)), 2)))
+	user := oracle.NewUser(oracle.RandomUtility(rand.New(rand.NewSource(2)), 2))
+	for _, alg := range []MultiAlgorithm{
+		NewRH(RHOptions{Rng: rand.New(rand.NewSource(1))}),
+		NewHDPIMulti(HDPIOptions{Rng: rand.New(rand.NewSource(1))}),
+	} {
+		for _, want := range []int{0, k + 1} {
+			for _, budgeted := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/want=%d/budgeted=%v", alg.Name(), want, budgeted), func(t *testing.T) {
+					defer func() {
+						if recover() == nil {
+							t.Fatal("expected panic")
+						}
+						if n := user.Questions(); n != 0 {
+							t.Fatalf("asked %d questions before panicking", n)
+						}
+					}()
+					if budgeted {
+						alg.RunMultiBudgeted(ds.Points, k, want, user, Budget{MaxQuestions: 8})
+					} else {
+						alg.RunMulti(ds.Points, k, want, user)
+					}
+				})
+			}
+		}
+	}
 }
 
 func TestMultiWantOneMatchesSingle(t *testing.T) {
-	// want=1 must deliver a valid single answer like the base algorithms.
+	// want=1 must deliver a valid single answer like the base algorithms;
+	// for RH it is the single-answer run itself.
 	rng := rand.New(rand.NewSource(4))
 	ds := dataset.AntiCorrelated(rng, 80, 3)
 	k := 5
 	band := skyband.Filter(ds.Points, skyband.KSkyband(ds.Points, k))
 	u := oracle.RandomUtility(rng, 3)
+	rh := NewRH(RHOptions{Rng: rand.New(rand.NewSource(7))}).RunMulti(band, k, 1, oracle.NewUser(u))
 	for _, tc := range []struct {
 		name string
 		got  []int
 	}{
-		{"rh", NewRHMulti(RHOptions{Rng: rand.New(rand.NewSource(7))}).RunMulti(band, k, 1, oracle.NewUser(u))},
+		{"rh", rh},
 		{"hdpi", NewHDPIMulti(HDPIOptions{Mode: ConvexExact, Rng: rand.New(rand.NewSource(7))}).RunMulti(band, k, 1, oracle.NewUser(u))},
 	} {
 		if len(tc.got) != 1 {
@@ -112,5 +136,8 @@ func TestMultiWantOneMatchesSingle(t *testing.T) {
 		if !oracle.IsTopK(band, u, k, band[tc.got[0]]) {
 			t.Fatalf("%s: point not top-%d", tc.name, k)
 		}
+	}
+	if single := NewRH(RHOptions{Rng: rand.New(rand.NewSource(7))}).Run(band, k, oracle.NewUser(u)); rh[0] != single {
+		t.Fatalf("rh: RunMulti(want 1) = %v, Run = %d", rh, single)
 	}
 }

@@ -330,30 +330,22 @@ func (t *tracker) certificate(points []geom.Vector, k int) Certificate {
 	}
 }
 
-// rescue is the panic barrier of the budgeted entry points: a panic inside
-// a budget-active run (a poisoned oracle, a numerical explosion) is
-// converted into a best-effort answer with an honest panic-recovered
-// certificate instead of unwinding into the caller. Unbudgeted runs keep
-// their propagate-the-panic contract — the session layer's own isolation
-// depends on it.
-func (t *tracker) rescue(points []geom.Vector, k int, idx *int, cert *Certificate) {
-	if t == nil || !t.active {
-		return
-	}
-	if r := recover(); r == nil {
-		return
-	}
-	u := t.lastU
-	if u == nil {
-		u = uniformUtility(len(points[0]))
-	}
-	*idx = argmaxAt(points, u)
-	t.finish(false, StopPanic, nil)
-	*cert = t.certificate(points, k)
+// guard runs one budgeted dialogue behind the engine's panic barrier and
+// certifies the want answers run returns.
+func (t *tracker) guard(points []geom.Vector, k, want int, run func() []int) (idx []int, cert Certificate) {
+	defer t.rescue(points, k, want, &idx, &cert)
+	idx = run()
+	return idx, t.certificate(points, k)
 }
 
-// rescueMulti is rescue for the multi-answer variants.
-func (t *tracker) rescueMulti(points []geom.Vector, k, want int, idx *[]int, cert *Certificate) {
+// rescue is the panic barrier of every budgeted entry point, single- or
+// multi-answer: a panic inside a budget-active run (a poisoned oracle, a
+// numerical explosion) is converted into a best-effort answer, the top-want
+// at the last location estimate, with an honest panic-recovered certificate
+// instead of unwinding into the caller. Unbudgeted runs keep their
+// propagate-the-panic contract — the session layer's own isolation depends
+// on it.
+func (t *tracker) rescue(points []geom.Vector, k, want int, idx *[]int, cert *Certificate) {
 	if t == nil || !t.active {
 		return
 	}

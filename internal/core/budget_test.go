@@ -228,7 +228,7 @@ func TestDegradedStopCadenceHonoured(t *testing.T) {
 			return cert
 		}},
 		{"rh-multi", func(o obs.Observer, user oracle.Oracle, b Budget) Certificate {
-			alg := NewRHMulti(RHOptions{Rng: rand.New(rand.NewSource(5))})
+			alg := NewRH(RHOptions{Rng: rand.New(rand.NewSource(5))})
 			alg.SetObserver(o)
 			_, cert := alg.RunMultiBudgeted(band, k, 2, user, b)
 			return cert

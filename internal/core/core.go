@@ -27,12 +27,17 @@ type Algorithm interface {
 }
 
 // MultiAlgorithm solves the AllTopK/SomeTopK variants: it returns several
-// point indices, all guaranteed to be among the user's top-k.
+// point indices, all guaranteed to be among the user's top-k. Both methods
+// panic unless 1 <= want <= k.
 type MultiAlgorithm interface {
 	Name() string
 	// RunMulti returns `want` indices among the user's top-k (or all k for
 	// the AllTopK variants when want == k).
 	RunMulti(points []geom.Vector, k, want int, o oracle.Oracle) []int
+	// RunMultiBudgeted is RunMulti under b, anytime-style as in Budgeted:
+	// on exhaustion it returns want best-effort indices with an honest
+	// Certificate.
+	RunMultiBudgeted(points []geom.Vector, k, want int, o oracle.Oracle, b Budget) ([]int, Certificate)
 }
 
 // Budgeted is an Algorithm that can run anytime-style under a Budget:
@@ -42,12 +47,6 @@ type MultiAlgorithm interface {
 type Budgeted interface {
 	Algorithm
 	RunBudgeted(points []geom.Vector, k int, o oracle.Oracle, b Budget) (int, Certificate)
-}
-
-// BudgetedMulti is the multi-answer counterpart of Budgeted.
-type BudgetedMulti interface {
-	MultiAlgorithm
-	RunMultiBudgeted(points []geom.Vector, k, want int, o oracle.Oracle, b Budget) ([]int, Certificate)
 }
 
 // Observable is implemented by algorithms that can attach a trace observer
@@ -89,21 +88,6 @@ func RunBudgeted(alg Algorithm, points []geom.Vector, k int, o oracle.Oracle, b 
 	}
 	before := o.Questions()
 	idx := alg.Run(points, k, o)
-	return idx, Certificate{
-		Certified:  true,
-		Reason:     StopConverged,
-		Questions:  o.Questions() - before,
-		Candidates: len(points),
-	}
-}
-
-// RunMultiBudgeted is RunBudgeted for multi-answer algorithms.
-func RunMultiBudgeted(alg MultiAlgorithm, points []geom.Vector, k, want int, o oracle.Oracle, b Budget) ([]int, Certificate) {
-	if ba, ok := alg.(BudgetedMulti); ok {
-		return ba.RunMultiBudgeted(points, k, want, o, b)
-	}
-	before := o.Questions()
-	idx := alg.RunMulti(points, k, want, o)
 	return idx, Certificate{
 		Certified:  true,
 		Reason:     StopConverged,

@@ -44,8 +44,7 @@ func TestGammaIncrementalMatchesScratch(t *testing.T) {
 		// Use the exact strategy so cached and scratch classifications use
 		// identical predicates.
 		opt.Strategy = polytope.StrategyNone
-		hd := &HDPI{opt: opt}
-		C := hd.buildPartitions(pts, V, d, nil)
+		C := buildPartitions(pts, V, d, nil)
 		if len(C) < 2 {
 			continue
 		}
@@ -88,8 +87,7 @@ func TestQuickGammaApplySoundness(t *testing.T) {
 			return true
 		}
 		opt := NewHDPI(HDPIOptions{Rng: rng}).opt
-		hd := &HDPI{opt: opt}
-		C := hd.buildPartitions(pts, V, d, nil)
+		C := buildPartitions(pts, V, d, nil)
 		if len(C) < 2 {
 			return true
 		}

@@ -115,24 +115,23 @@ func (a *HDPI) Run(points []geom.Vector, k int, o oracle.Oracle) int {
 
 // RunBudgeted implements Budgeted. On exhaustion it returns the top-1 at
 // the mean vertex of the surviving partitions.
-func (a *HDPI) RunBudgeted(points []geom.Vector, k int, o oracle.Oracle, b Budget) (idx int, cert Certificate) {
+func (a *HDPI) RunBudgeted(points []geom.Vector, k int, o oracle.Oracle, b Budget) (int, Certificate) {
 	tr := newTracker(b, a.opt.Strategy, a.opt.StopCheckEvery, a.opt.Observer)
-	defer tr.rescue(points, k, &idx, &cert)
-	idx = a.run(points, k, o, tr)
-	cert = tr.certificate(points, k)
-	return idx, cert
+	idx, cert := tr.guard(points, k, 1, func() []int { return []int{a.run(points, k, o, tr)} })
+	return idx[0], cert
 }
 
-// bestEffortCells finishes a budget-exhausted run over a partition set: the
-// answer is the top-1 at the mean of the surviving vertices.
-func bestEffortCells(points []geom.Vector, C []partition, tr *tracker) int {
+// bestEffortCells finishes a run over a partition set without a
+// certificate, for reason: the answer is the top-want at the mean of the
+// surviving vertices, or at the uniform utility when no cell survives.
+func bestEffortCells(points []geom.Vector, want int, C []partition, tr *tracker, reason StopReason) []int {
 	verts := allVertices(C)
 	if len(verts) == 0 {
-		tr.finish(false, tr.stopReason(), nil)
-		return argmaxAt(points, uniformUtility(len(points[0])))
+		tr.finish(false, reason, nil)
+		return oracle.TopK(points, uniformUtility(len(points[0])), want)
 	}
-	tr.finish(false, tr.stopReason(), verts)
-	return argmaxAt(points, geom.Mean(verts))
+	tr.finish(false, reason, verts)
+	return oracle.TopK(points, geom.Mean(verts), want)
 }
 
 func (a *HDPI) run(points []geom.Vector, k int, o oracle.Oracle, tr *tracker) int {
@@ -143,11 +142,11 @@ func (a *HDPI) run(points []geom.Vector, k int, o oracle.Oracle, tr *tracker) in
 	V := convexPoints(points, a.opt, tr)
 
 	// Initial partitions: Θ_i = {u : u·(p_i − p_j) >= 0 ∀ p_j ∈ V\{p_i}}.
-	C := a.buildPartitions(points, V, d, tr)
+	C := buildPartitions(points, V, d, tr)
 	if tr.exhausted() {
 		// The budget died during construction; C may be partial, so even a
 		// single cell proves nothing.
-		return bestEffortCells(points, C, tr)
+		return bestEffortCells(points, 1, C, tr, tr.stopReason())[0]
 	}
 	if len(C) == 0 {
 		// Degenerate input (e.g. a single point duplicated); the winner at
@@ -170,7 +169,7 @@ func (a *HDPI) run(points []geom.Vector, k int, o oracle.Oracle, tr *tracker) in
 			return C[0].point
 		}
 		if tr.exhausted() {
-			return bestEffortCells(points, C, tr)
+			return bestEffortCells(points, 1, C, tr, tr.stopReason())[0]
 		}
 		tr.maybeDegrade()
 		if tr != nil && tr.active {
@@ -183,11 +182,11 @@ func (a *HDPI) run(points []geom.Vector, k int, o oracle.Oracle, tr *tracker) in
 			probe := C[rng.Intn(len(C))].poly.Sample(rng)
 			lastProbe = probe
 			tr.observe(probe, verts)
-			p, ok := stop.lemma55(points, k, verts, probe)
-			tr.stopCheck(ok)
-			if ok {
+			res := stop.lemma55(points, k, verts, probe, 1)
+			tr.stopCheck(res != nil)
+			if res != nil {
 				tr.finish(true, StopConverged, verts)
-				return p
+				return res[0]
 			}
 		}
 		round++
@@ -309,7 +308,7 @@ func intsBytes(v []int) int64 { return int64(len(v))*8 + 24 }
 // points, skipping empty (and therefore impossible) cells. Under an
 // exhausted budget it stops early and returns the cells built so far
 // (callers detect this via the tracker and answer best-effort).
-func (a *HDPI) buildPartitions(points []geom.Vector, V []int, d int, tr *tracker) []partition {
+func buildPartitions(points []geom.Vector, V []int, d int, tr *tracker) []partition {
 	var C []partition
 	for _, i := range V {
 		if tr.exhausted() {
@@ -352,11 +351,4 @@ func uniformUtility(d int) geom.Vector {
 		u[i] = 1 / float64(d)
 	}
 	return u
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

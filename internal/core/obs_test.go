@@ -100,7 +100,7 @@ func observedCases() []observedCase {
 			return []int{alg.Run(band, k, user)}
 		}},
 		{"rh-multi", 3, func(o obs.Observer, band []geom.Vector, k int, user oracle.Oracle) []int {
-			alg := NewRHMulti(RHOptions{Rng: rand.New(rand.NewSource(5))})
+			alg := NewRH(RHOptions{Rng: rand.New(rand.NewSource(5))})
 			alg.SetObserver(o)
 			return alg.RunMulti(band, k, 2, user)
 		}},

@@ -39,6 +39,9 @@ func (opt RHOptions) strategy() polytope.Strategy {
 // centre. It asks O(c·d·log n) questions in expectation (Theorem 5.7),
 // asymptotically optimal for fixed d (Corollary 5.8), and is the fastest of
 // the paper's algorithms.
+//
+// The same loop serves RH-SomeTopK and RH-AllTopK (Section 6.5), which stop
+// once `want` points fulfil Lemma 5.5: Run is RunMulti with want = 1.
 type RH struct {
 	opt RHOptions
 }
@@ -59,7 +62,7 @@ func NewRHDefault(seed int64) *RH {
 	return NewRH(RHOptions{Rng: rand.New(rand.NewSource(seed)), UseBall: true})
 }
 
-// Name implements Algorithm.
+// Name implements Algorithm and MultiAlgorithm.
 func (a *RH) Name() string { return "RH" }
 
 // SetObserver implements Observable.
@@ -67,34 +70,54 @@ func (a *RH) SetObserver(o obs.Observer) { a.opt.Observer = o }
 
 // Run implements Algorithm.
 func (a *RH) Run(points []geom.Vector, k int, o oracle.Oracle) int {
-	return a.run(points, k, o, obsTracker(a.opt.Observer))
+	return a.run(points, k, 1, o, obsTracker(a.opt.Observer))[0]
+}
+
+// RunMulti implements MultiAlgorithm.
+func (a *RH) RunMulti(points []geom.Vector, k, want int, o oracle.Oracle) []int {
+	checkWant(k, want)
+	return a.run(points, k, want, o, obsTracker(a.opt.Observer))
 }
 
 // RunBudgeted implements Budgeted. On exhaustion it returns the top-1 at
 // R's centre — the centre of everything the answers so far have not ruled
 // out.
-func (a *RH) RunBudgeted(points []geom.Vector, k int, o oracle.Oracle, b Budget) (idx int, cert Certificate) {
+func (a *RH) RunBudgeted(points []geom.Vector, k int, o oracle.Oracle, b Budget) (int, Certificate) {
+	idx, cert := a.runBudgeted(points, k, 1, o, b)
+	return idx[0], cert
+}
+
+// RunMultiBudgeted implements MultiAlgorithm. On exhaustion it returns the
+// top-want at R's centre, best-effort.
+func (a *RH) RunMultiBudgeted(points []geom.Vector, k, want int, o oracle.Oracle, b Budget) ([]int, Certificate) {
+	checkWant(k, want)
+	return a.runBudgeted(points, k, want, o, b)
+}
+
+// runBudgeted runs RH under b behind the tracker's panic barrier. Only the
+// multi-answer entry point checks want, so a single-answer run keeps
+// accepting any k.
+func (a *RH) runBudgeted(points []geom.Vector, k, want int, o oracle.Oracle, b Budget) ([]int, Certificate) {
 	tr := newTracker(b, a.opt.strategy(), a.opt.StopCheckEvery, a.opt.Observer)
-	defer tr.rescue(points, k, &idx, &cert)
-	idx = a.run(points, k, o, tr)
-	cert = tr.certificate(points, k)
-	return idx, cert
+	return tr.guard(points, k, want, func() []int { return a.run(points, k, want, o, tr) })
 }
 
 // bestEffortRegion finishes a budget-exhausted run on the single polytope R:
-// the answer is the top-1 at R's centre, the certificate's candidate count
-// is computed over R's vertices.
-func bestEffortRegion(points []geom.Vector, R *polytope.Polytope, tr *tracker) int {
+// the answer is the top-want at R's centre, the certificate's candidate
+// count is computed over R's vertices.
+func bestEffortRegion(points []geom.Vector, want int, R *polytope.Polytope, tr *tracker) []int {
 	verts := R.Vertices()
 	if len(verts) == 0 {
 		tr.finish(false, tr.stopReason(), nil)
-		return argmaxAt(points, uniformUtility(len(points[0])))
+		return oracle.TopK(points, uniformUtility(len(points[0])), want)
 	}
 	tr.finish(false, tr.stopReason(), verts)
-	return argmaxAt(points, R.Center())
+	return oracle.TopK(points, R.Center(), want)
 }
 
-func (a *RH) run(points []geom.Vector, k int, o oracle.Oracle, tr *tracker) int {
+// run is RH's loop: it returns want points that are certainly among the
+// user's top-k (best effort on a budgeted exit).
+func (a *RH) run(points []geom.Vector, k, want int, o oracle.Oracle, tr *tracker) []int {
 	n := len(points)
 	d := len(points[0])
 	rng := a.opt.Rng
@@ -109,7 +132,7 @@ func (a *RH) run(points []geom.Vector, k int, o oracle.Oracle, tr *tracker) int 
 	round := 0
 	for {
 		if tr.exhausted() {
-			return bestEffortRegion(points, R, tr)
+			return bestEffortRegion(points, want, R, tr)
 		}
 		tr.maybeDegrade()
 		if tr != nil && tr.active {
@@ -121,15 +144,15 @@ func (a *RH) run(points []geom.Vector, k int, o oracle.Oracle, tr *tracker) int 
 			if len(verts) == 0 {
 				// Only with an erring user: contradictory cuts emptied R.
 				tr.finish(false, StopDegenerate, nil)
-				return argmaxAt(points, uniformUtility(d))
+				return oracle.TopK(points, uniformUtility(d), want)
 			}
 			probe := R.Sample(rng)
 			tr.observe(probe, verts)
-			p, ok := stop.lemma55(points, k, verts, probe)
-			tr.stopCheck(ok)
-			if ok {
+			res := stop.lemma55(points, k, verts, probe, want)
+			tr.stopCheck(res != nil)
+			if res != nil {
 				tr.finish(true, StopConverged, verts)
-				return p
+				return res
 			}
 		}
 		round++
@@ -144,7 +167,7 @@ func (a *RH) run(points []geom.Vector, k int, o oracle.Oracle, tr *tracker) int 
 		for {
 			for j := 0; j < i; j++ {
 				if tr.exhausted() {
-					return bestEffortRegion(points, R, tr)
+					return bestEffortRegion(points, want, R, tr)
 				}
 				h := geom.NewHyperplane(points[perm[i]], points[perm[j]])
 				if h.Degenerate() {
@@ -163,10 +186,10 @@ func (a *RH) run(points []geom.Vector, k int, o oracle.Oracle, tr *tracker) int 
 			i++
 			if i >= n {
 				// Stopping condition 3: no pair hyperplane intersects R, so
-				// the ranking of all points is fixed over R; the top-1 at
-				// R's centre is certainly among the top-k.
+				// the ranking of all points is fixed over R; the top-want at
+				// R's centre are certainly among the top-k.
 				tr.finish(true, StopConverged, R.Vertices())
-				return argmaxAt(points, center)
+				return oracle.TopK(points, center, want)
 			}
 		}
 

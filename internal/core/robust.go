@@ -99,12 +99,10 @@ func (a *RobustHDPI) Run(points []geom.Vector, k int, o oracle.Oracle) int {
 
 // RunBudgeted implements Budgeted. The certificate additionally reports the
 // posterior weight fraction behind the answer (CredibleWeight).
-func (a *RobustHDPI) RunBudgeted(points []geom.Vector, k int, o oracle.Oracle, b Budget) (idx int, cert Certificate) {
+func (a *RobustHDPI) RunBudgeted(points []geom.Vector, k int, o oracle.Oracle, b Budget) (int, Certificate) {
 	tr := newTracker(b, polytope.StrategyBall, 1, a.opt.Observer)
-	defer tr.rescue(points, k, &idx, &cert)
-	idx = a.run(points, k, o, tr)
-	cert = tr.certificate(points, k)
-	return idx, cert
+	idx, cert := tr.guard(points, k, 1, func() []int { return []int{a.run(points, k, o, tr)} })
+	return idx[0], cert
 }
 
 func (a *RobustHDPI) run(points []geom.Vector, k int, o oracle.Oracle, tr *tracker) int {
@@ -115,10 +113,9 @@ func (a *RobustHDPI) run(points []geom.Vector, k int, o oracle.Oracle, tr *track
 		Mode: a.opt.Mode, Samples: a.opt.Samples, Rng: rng,
 		PrepCache: a.opt.PrepCache, PrepFingerprint: a.opt.PrepFingerprint,
 	}, tr)
-	base := &HDPI{opt: HDPIOptions{Rng: rng}}
-	C := base.buildPartitions(points, V, d, tr)
+	C := buildPartitions(points, V, d, tr)
 	if tr.exhausted() {
-		return bestEffortCells(points, C, tr)
+		return bestEffortCells(points, 1, C, tr, tr.stopReason())[0]
 	}
 	if len(C) == 0 {
 		tr.finish(true, StopConverged, nil)
@@ -188,10 +185,10 @@ func (a *RobustHDPI) run(points []geom.Vector, k int, o oracle.Oracle, tr *track
 		}
 		probe = probe.Scale(1 / wsum)
 		tr.observe(probe, nil)
-		p, ok := stop.lemma55(points, k, verts, probe)
-		tr.stopCheck(ok)
-		if ok {
-			return p, verts, true
+		res := stop.lemma55(points, k, verts, probe, 1)
+		tr.stopCheck(res != nil)
+		if res != nil {
+			return res[0], verts, true
 		}
 		if strict {
 			return 0, verts, false

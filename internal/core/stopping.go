@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"slices"
 
 	"ist/internal/geom"
 	"ist/internal/oracle"
@@ -22,43 +21,24 @@ type stopScratch struct {
 
 // lemma55 implements stopping condition 2 (Lemma 5.5): given the vertices of
 // the current utility range R and a probe utility vector u inside R, it
-// checks whether one of the top-k points w.r.t. u is guaranteed to be among
-// the top-k for every utility vector in R. A point p_j can displace p_i only
-// if some u' in R has u'·p_j > u'·p_i, i.e. some vertex of R lies strictly
-// above the hyperplane h_{j,i}; if fewer than k points can displace p_i,
-// p_i is certainly top-k.
+// checks whether want of the top-k points w.r.t. u are guaranteed to be
+// among the top-k for every utility vector in R. A point p_j can displace
+// p_i only if some u' in R has u'·p_j > u'·p_i, i.e. some vertex of R lies
+// strictly above the hyperplane h_{j,i}; if fewer than k points can
+// displace p_i, p_i is certainly top-k.
 //
-// It returns the first qualifying candidate in top-k order and true, or
-// (0, false).
-func (s *stopScratch) lemma55(points []geom.Vector, k int, rVerts []geom.Vector, probe geom.Vector) (int, bool) {
-	if q := s.qualify(points, k, rVerts, probe, 1); q != nil {
-		return q[0], true
-	}
-	return 0, false
-}
-
-// lemma55Multi returns want point indices that are guaranteed top-k w.r.t.
-// every utility vector of the region spanned by rVerts (the first want
-// qualifying candidates in top-k order) and true, or (nil, false) when
-// fewer than want qualify.
-func (s *stopScratch) lemma55Multi(points []geom.Vector, k int, rVerts []geom.Vector, probe geom.Vector, want int) ([]int, bool) {
-	q := s.qualify(points, k, rVerts, probe, want)
-	return slices.Clone(q), q != nil
-}
-
-// qualify is the Lemma 5.5 kernel. The candidates are the top-k w.r.t. the
-// probe; one pass over the points counts, for every candidate still live,
-// the points that beat it at some vertex of R (v·p_j > v·p_i + Eps). The
-// vertex utilities of p_j are computed once, lazily, and shared by every
-// candidate, and a point that stays under the live candidates' floor at
-// every vertex is skipped after those comparisons alone. A candidate
-// retires at its k-th beater, and the pass ends early once fewer than want
-// candidates are live. A candidate's capped count does not depend on the
-// scan order, so the first want survivors in top-k order are exactly the
-// points a candidate-by-candidate check accepts. It returns them (in s's
-// memory, valid until the next check), or nil when fewer than want (at
-// least 1) qualify.
-func (s *stopScratch) qualify(points []geom.Vector, k int, rVerts []geom.Vector, probe geom.Vector, want int) []int {
+// The candidates are the top-k w.r.t. the probe; one pass over the points
+// counts, for every candidate still live, the points that beat it at some
+// vertex of R (v·p_j > v·p_i + Eps). The vertex utilities of p_j are
+// computed once, lazily, and shared by every candidate, and a point that
+// stays under the live candidates' floor at every vertex is skipped after
+// those comparisons alone. A candidate retires at its k-th beater, and the
+// pass ends early once fewer than want candidates are live. A candidate's
+// capped count does not depend on the scan order, so the first want
+// survivors in top-k order are exactly the points a candidate-by-candidate
+// check accepts. It returns them in a new slice, or nil when fewer than
+// want (at least 1) qualify.
+func (s *stopScratch) lemma55(points []geom.Vector, k int, rVerts []geom.Vector, probe geom.Vector, want int) []int {
 	if len(rVerts) == 0 {
 		return nil
 	}
@@ -126,9 +106,8 @@ func (s *stopScratch) qualify(points []geom.Vector, k int, rVerts []geom.Vector,
 	if len(live) < want {
 		return nil
 	}
-	// The answer overwrites the survivors' candidate positions in place.
-	out := live[:want]
-	for x, c := range out {
+	out := make([]int, want)
+	for x, c := range live[:want] {
 		out[x] = cand[c]
 	}
 	return out

@@ -103,7 +103,7 @@ func tappedRegions(name string, band []geom.Vector, k int, seed int64) []stopInp
 	tap := &regionTap{user: oracle.RandomUser(rng, len(band[0]))}
 	if name == "rh" {
 		tap.tr = newTracker(Budget{}, RHOptions{UseBall: true}.strategy(), 1, nil)
-		NewRH(RHOptions{Rng: rng, UseBall: true}).run(band, k, tap, tap.tr)
+		NewRH(RHOptions{Rng: rng, UseBall: true}).run(band, k, 1, tap, tap.tr)
 	} else {
 		a := NewHDPI(HDPIOptions{Mode: ConvexExact, Rng: rng})
 		tap.tr = newTracker(Budget{}, a.opt.Strategy, 1, nil)
@@ -170,10 +170,10 @@ func stopInputs(t testing.TB) []stopInput {
 func TestStopCheckMatchesPerCandidate(t *testing.T) {
 	var s stopScratch // one warm scratch across every check, as in a run
 	for x, in := range stopInputs(t) {
-		gotI, gotOK := s.lemma55(in.points, in.k, in.verts, in.probe)
+		got := s.lemma55(in.points, in.k, in.verts, in.probe, 1)
 		wantI, wantOK := lemma55Ref(in.points, in.k, in.verts, in.probe)
-		if gotI != wantI || gotOK != wantOK {
-			t.Fatalf("%d %s k=%d: lemma55 = (%d, %v), want (%d, %v)", x, in.name, in.k, gotI, gotOK, wantI, wantOK)
+		if (got != nil) != wantOK || (wantOK && !slices.Equal(got, []int{wantI})) {
+			t.Fatalf("%d %s k=%d: lemma55 = %v, want (%d, %v)", x, in.name, in.k, got, wantI, wantOK)
 		}
 		// The qualifying candidates, in top-k order, straight from the
 		// per-candidate counts; a region without vertices certifies none.
@@ -184,13 +184,14 @@ func TestStopCheckMatchesPerCandidate(t *testing.T) {
 			}
 		}
 		for _, want := range []int{0, 1, 2, len(quals), len(quals) + 1, in.k, in.k + 3} {
-			got, ok := s.lemma55Multi(in.points, in.k, in.verts, in.probe, want)
+			got := s.lemma55(in.points, in.k, in.verts, in.probe, want)
+			ok := got != nil
 			ref, refOK := lemma55MultiRef(in.points, in.k, in.verts, in.probe, want)
 			if ok != refOK || (ok && !slices.Equal(got, ref)) {
-				t.Fatalf("%d %s k=%d want=%d: lemma55Multi = (%v, %v), reference (%v, %v)", x, in.name, in.k, want, got, ok, ref, refOK)
+				t.Fatalf("%d %s k=%d want=%d: lemma55 = %v, reference (%v, %v)", x, in.name, in.k, want, got, ref, refOK)
 			}
 			if w := max(want, 1); ok != (len(quals) >= w) || (ok && !slices.Equal(got, quals[:w])) {
-				t.Fatalf("%d %s k=%d want=%d: lemma55Multi = (%v, %v), qualifiers %v", x, in.name, in.k, want, got, ok, quals)
+				t.Fatalf("%d %s k=%d want=%d: lemma55 = %v, qualifiers %v", x, in.name, in.k, want, got, quals)
 			}
 		}
 	}
@@ -201,12 +202,12 @@ func TestStopCheckAllocatesNothingWarm(t *testing.T) {
 	band := skyband.Filter(ds.Points, skyband.KSkyband(ds.Points, 20))
 	in := tappedRegions("rh", band, 20, 2)[1]
 	var s stopScratch
-	s.lemma55Multi(band, 20, in.verts, in.probe, 3)
+	s.lemma55(band, 20, in.verts, in.probe, 3)
 	allocs := testing.AllocsPerRun(20, func() {
-		s.lemma55(band, 20, in.verts, in.probe)
-		s.lemma55Multi(band, 20, in.verts, in.probe, 3)
+		s.lemma55(band, 20, in.verts, in.probe, 1)
+		s.lemma55(band, 20, in.verts, in.probe, 3)
 	})
-	if _, ok := s.lemma55(band, 20, in.verts, in.probe); ok {
+	if s.lemma55(band, 20, in.verts, in.probe, 1) != nil {
 		t.Fatal("the tapped region certifies; pick an earlier one")
 	}
 	if allocs != 0 {
@@ -227,11 +228,11 @@ func BenchmarkStopCheck(b *testing.B) {
 	}
 	in := tappedRegions("rh", band, k, 1)[2]
 	var s stopScratch
-	if _, ok := s.lemma55(band, k, in.verts, in.probe); ok {
+	if s.lemma55(band, k, in.verts, in.probe, 1) != nil {
 		b.Fatal("the benchmark region certifies")
 	}
 	b.ReportAllocs()
 	for b.Loop() {
-		s.lemma55(band, k, in.verts, in.probe)
+		s.lemma55(band, k, in.verts, in.probe, 1)
 	}
 }

@@ -43,12 +43,10 @@ func (t TwoDPI) Run(points []geom.Vector, k int, o oracle.Oracle) int {
 
 // RunBudgeted implements Budgeted. On exhaustion it returns the point of the
 // median surviving partition — the binary search's current best guess.
-func (t TwoDPI) RunBudgeted(points []geom.Vector, k int, o oracle.Oracle, b Budget) (idx int, cert Certificate) {
+func (t TwoDPI) RunBudgeted(points []geom.Vector, k int, o oracle.Oracle, b Budget) (int, Certificate) {
 	tr := newTracker(b, polytope.StrategyNone, 1, t.Obs)
-	defer tr.rescue(points, k, &idx, &cert)
-	idx = t.run(points, k, o, tr)
-	cert = tr.certificate(points, k)
-	return idx, cert
+	idx, cert := tr.guard(points, k, 1, func() []int { return []int{t.run(points, k, o, tr)} })
+	return idx[0], cert
 }
 
 func (t TwoDPI) run(points []geom.Vector, k int, o oracle.Oracle, tr *tracker) int {

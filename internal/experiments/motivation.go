@@ -44,9 +44,7 @@ type multiSpec struct {
 
 func allTopKSpecs() []multiSpec {
 	return []multiSpec{
-		{"RH", func(seed int64) core.MultiAlgorithm {
-			return core.NewRHMulti(core.RHOptions{Rng: rand.New(rand.NewSource(seed)), UseBall: true})
-		}},
+		{"RH", func(seed int64) core.MultiAlgorithm { return core.NewRHDefault(seed) }},
 		{"HD-PI-sampling", func(seed int64) core.MultiAlgorithm {
 			return core.NewHDPIMulti(core.HDPIOptions{Mode: core.ConvexSampling, Rng: rand.New(rand.NewSource(seed))})
 		}},

@@ -117,7 +117,7 @@ func TestChaosAnytimeInvariantMulti(t *testing.T) {
 		make func(seed int64) core.MultiAlgorithm
 	}{
 		{"rh-multi", 3, func(s int64) core.MultiAlgorithm {
-			return core.NewRHMulti(core.RHOptions{Rng: rand.New(rand.NewSource(s)), UseBall: true})
+			return core.NewRHDefault(s)
 		}},
 		{"hdpi-multi", 3, func(s int64) core.MultiAlgorithm {
 			return core.NewHDPIMulti(core.HDPIOptions{Mode: core.ConvexSampling, Rng: rand.New(rand.NewSource(s))})
@@ -134,7 +134,7 @@ func TestChaosAnytimeInvariantMulti(t *testing.T) {
 				defer uninstall()
 
 				o := &Oracle{Inner: u, Plan: pc.plan}
-				idx, cert := core.RunMultiBudgeted(mc.make(13), band, k, want, o, core.Budget{MaxQuestions: 64})
+				idx, cert := mc.make(13).RunMultiBudgeted(band, k, want, o, core.Budget{MaxQuestions: 64})
 
 				if len(idx) == 0 {
 					t.Fatal("no points returned")

@@ -303,10 +303,9 @@ func NewHDPIAccurate(seed int64) Algorithm {
 // NewRH returns the RH algorithm with the given seed.
 func NewRH(seed int64) Algorithm { return core.NewRHDefault(seed) }
 
-// NewRHMulti returns the multi-answer RH variant (Section 6.5).
-func NewRHMulti(seed int64) MultiAlgorithm {
-	return core.NewRHMulti(core.RHOptions{Rng: rand.New(rand.NewSource(seed)), UseBall: true})
-}
+// NewRHMulti returns RH for the multi-answer variants (Section 6.5): the
+// same algorithm as NewRH, whose loop stops once `want` points are certain.
+func NewRHMulti(seed int64) MultiAlgorithm { return core.NewRHDefault(seed) }
 
 // NewHDPIMulti returns the multi-answer HD-PI variant (Section 6.5).
 func NewHDPIMulti(seed int64) MultiAlgorithm {

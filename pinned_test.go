@@ -9,6 +9,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"ist/internal/faultinject"
 )
 
 // This file pins the complete outcome of fixed dialogue sets on a Car-like
@@ -16,7 +18,8 @@ import (
 // algorithm hash to a digest recorded from the reference implementation.
 // A change to a stopping rule, a ranking helper or the polytope code that
 // alters a single question or result, even one the other tests would
-// accept as correct, moves the digest.
+// accept as correct, moves the digest. Budgeted cases also hash their
+// certificates, so the best-effort and panic-recovery exits are pinned too.
 
 // digestOracle answers as a truthful user and feeds each question and
 // answer into a running hash.
@@ -62,22 +65,45 @@ func pinnedBand() []Point {
 	return Preprocess(CarLike(rand.New(rand.NewSource(1)), 2000).Points, pinnedK)
 }
 
+// pinnedRun runs one dialogue and returns its result indices and, for a
+// budgeted run, its certificate (nil otherwise).
+type pinnedRun func(num int64, o Oracle) ([]int, *Certificate)
+
 // pinnedDigest runs the dialogues and returns the hex digest of their
-// questions, answers, results and question counts. run returns the result
-// indices of one dialogue.
-func pinnedDigest(band []Point, run func(num int64, o Oracle) []int) string {
+// questions, answers, results, certificates and question counts.
+func pinnedDigest(band []Point, run pinnedRun) string {
 	o := &digestOracle{h: sha256.New()}
 	for num := int64(1); num <= pinnedDialogues; num++ {
 		u := RandomUtility(rand.New(rand.NewSource(1000+num)), len(band[0]))
 		o.user = NewUser(u)
-		res := run(num, o)
+		res, cert := run(num, o)
 		o.int(-1)
 		for _, i := range res {
 			o.int(int64(i))
 		}
+		if cert != nil {
+			o.certificate(cert)
+		}
 		o.int(int64(o.Questions()))
 	}
 	return hex.EncodeToString(o.h.Sum(nil))
+}
+
+func (o *digestOracle) certificate(c *Certificate) {
+	certified := int64(0)
+	if c.Certified {
+		certified = 1
+	}
+	o.int(certified)
+	o.int(int64(len(c.Reason)))
+	o.h.Write([]byte(c.Reason))
+	o.int(int64(c.Questions))
+	o.int(int64(c.Candidates))
+}
+
+// panicAtFifth is an oracle that panics when asked its fifth question.
+func panicAtFifth(o Oracle) Oracle {
+	return &faultinject.Oracle{Inner: o, Plan: faultinject.Plan{PanicAt: 5}}
 }
 
 func TestPinnedDialogueDigests(t *testing.T) {
@@ -87,22 +113,53 @@ func TestPinnedDialogueDigests(t *testing.T) {
 		t.Skipf("digests are recorded on amd64, not %s", runtime.GOARCH)
 	}
 	band := pinnedBand()
-	single := func(newAlg func(seed int64) Algorithm) func(int64, Oracle) []int {
-		return func(num int64, o Oracle) []int {
-			return []int{Solve(newAlg(num), band, pinnedK, o).Index}
+	single := func(newAlg func(seed int64) Algorithm) pinnedRun {
+		return func(num int64, o Oracle) ([]int, *Certificate) {
+			return []int{Solve(newAlg(num), band, pinnedK, o).Index}, nil
 		}
 	}
+	multi := func(newAlg func(seed int64) MultiAlgorithm) pinnedRun {
+		return func(num int64, o Oracle) ([]int, *Certificate) {
+			return newAlg(num).RunMulti(band, pinnedK, pinnedWant, o), nil
+		}
+	}
+	// budgeted runs a dialogue under b; wrap, when set, sits between the
+	// algorithm and the digest.
+	budgeted := func(newAlg func(seed int64) Algorithm, b Budget, wrap func(Oracle) Oracle) pinnedRun {
+		return func(num int64, o Oracle) ([]int, *Certificate) {
+			if wrap != nil {
+				o = wrap(o)
+			}
+			res := SolveBudgeted(newAlg(num), band, pinnedK, o, b)
+			return []int{res.Index}, res.Certificate
+		}
+	}
+	budgetedMulti := func(newAlg func(seed int64) MultiAlgorithm, b Budget, wrap func(Oracle) Oracle) pinnedRun {
+		return func(num int64, o Oracle) ([]int, *Certificate) {
+			if wrap != nil {
+				o = wrap(o)
+			}
+			idx, cert := newAlg(num).RunMultiBudgeted(band, pinnedK, pinnedWant, o, b)
+			return idx, &cert
+		}
+	}
+	six := Budget{MaxQuestions: 6}
+	roomy := Budget{MaxQuestions: 64}
 	cases := []struct {
 		name string
-		run  func(int64, Oracle) []int
+		run  pinnedRun
 		want string
 	}{
 		{"RH", single(NewRH), "abb24c196dd8dd10769f8bfb38b71577ddcfc857087d99cdf566c1862a05a974"},
 		{"HD-PI-accurate", single(NewHDPIAccurate), "30adf2bcba194b5b0c8b54ac8baeae9ff1258bd6598be68366917accfabbc1ce"},
 		{"RobustHDPI", single(NewRobustHDPI), "b9172a5e13cfd55b06dc1c489715e24c7c669272db0501196b9a51b1d9e5d58a"},
-		{"RH-SomeTopK", func(num int64, o Oracle) []int {
-			return NewRHMulti(num).RunMulti(band, pinnedK, pinnedWant, o)
-		}, "35537bf29e2e7336688b0884aaeb4b35b63e0f73b8d1d89bd790eb318ec8cf9b"},
+		{"RH-SomeTopK", multi(NewRHMulti), "35537bf29e2e7336688b0884aaeb4b35b63e0f73b8d1d89bd790eb318ec8cf9b"},
+		{"HD-PI-SomeTopK", multi(NewHDPIMulti), "e82b4169d68780c384497d15f27aba034ecf0966180a5df1d03a6e9c850ef509"},
+		{"RH/max-6", budgeted(NewRH, six, nil), "5ef30c7de105182404ded4c4bbc00ce0aed3129fffcd027197d2df1366679cf2"},
+		{"RH-SomeTopK/max-6", budgetedMulti(NewRHMulti, six, nil), "0bfb75482c16fa35b2d77661bce9a1c11bf35504e284e20979e5c1f1414d7cb4"},
+		{"HD-PI-SomeTopK/max-6", budgetedMulti(NewHDPIMulti, six, nil), "4e9ccd4e75f0ac506c9f6677b1daba27b6e2948f35660b0304aa28039b90a8ed"},
+		{"RH/panic-5", budgeted(NewRH, roomy, panicAtFifth), "53edde05e786b3390af6ef22eb652c43a1634437b016ffa7741b1e827cc338af"},
+		{"RH-SomeTopK/panic-5", budgetedMulti(NewRHMulti, roomy, panicAtFifth), "d50f2dd031f3cb98afdd801b6655b13d8276339c9bd378660f0a12e0ca28ee36"},
 	}
 	for _, c := range cases {
 		if got := pinnedDigest(band, c.run); got != c.want {
