@@ -3,11 +3,14 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"ist/internal/dataset"
 	"ist/internal/geom"
 	"ist/internal/oracle"
+	"ist/internal/prep"
 	"ist/internal/skyband"
 )
 
@@ -51,7 +54,7 @@ func TestHDPIMultiAllTopK(t *testing.T) {
 		ds := dataset.AntiCorrelated(rng, 60, d)
 		band := skyband.Filter(ds.Points, skyband.KSkyband(ds.Points, k))
 		u := oracle.RandomUtility(rng, d)
-		alg := NewHDPIMulti(HDPIOptions{Mode: ConvexExact, Rng: rand.New(rand.NewSource(int64(trial)))})
+		alg := NewHDPI(HDPIOptions{Mode: ConvexExact, Rng: rand.New(rand.NewSource(int64(trial)))})
 		user := oracle.NewUser(u)
 		got := alg.RunMulti(band, k, k, user)
 		checkMulti(t, alg.Name(), got, band, u, k, k)
@@ -90,7 +93,7 @@ func TestMultiWantOutOfRangePanics(t *testing.T) {
 	user := oracle.NewUser(oracle.RandomUtility(rand.New(rand.NewSource(2)), 2))
 	for _, alg := range []MultiAlgorithm{
 		NewRH(RHOptions{Rng: rand.New(rand.NewSource(1))}),
-		NewHDPIMulti(HDPIOptions{Rng: rand.New(rand.NewSource(1))}),
+		NewHDPI(HDPIOptions{Rng: rand.New(rand.NewSource(1))}),
 	} {
 		for _, want := range []int{0, k + 1} {
 			for _, budgeted := range []bool{false, true} {
@@ -128,7 +131,7 @@ func TestMultiWantOneMatchesSingle(t *testing.T) {
 		got  []int
 	}{
 		{"rh", rh},
-		{"hdpi", NewHDPIMulti(HDPIOptions{Mode: ConvexExact, Rng: rand.New(rand.NewSource(7))}).RunMulti(band, k, 1, oracle.NewUser(u))},
+		{"hdpi", NewHDPI(HDPIOptions{Mode: ConvexExact, Rng: rand.New(rand.NewSource(7))}).RunMulti(band, k, 1, oracle.NewUser(u))},
 	} {
 		if len(tc.got) != 1 {
 			t.Fatalf("%s: got %v", tc.name, tc.got)
@@ -139,5 +142,65 @@ func TestMultiWantOneMatchesSingle(t *testing.T) {
 	}
 	if single := NewRH(RHOptions{Rng: rand.New(rand.NewSource(7))}).Run(band, k, oracle.NewUser(u)); rh[0] != single {
 		t.Fatalf("rh: RunMulti(want 1) = %v, Run = %d", rh, single)
+	}
+
+	// For HD-PI, over the 32 dialogues of the pinned band (the 20-skyband
+	// of a 2,000-tuple Car-like catalog, utility seeds 1001–1032, algorithm
+	// seeds 1–32), the multi-answer entry points at want 1 are the
+	// single-answer ones, unbudgeted and under a six-question budget,
+	// result and certificate alike. The accurate runs share one prep cache,
+	// so the exact convex-point scan runs once.
+	const pinnedK = 20
+	car := dataset.CarLike(rand.New(rand.NewSource(1)), 2000)
+	band = skyband.Filter(car.Points, skyband.KSkyband(car.Points, pinnedK))
+	cache := prep.New(0)
+	six := Budget{MaxQuestions: 6}
+	for _, mode := range []ConvexMode{ConvexSampling, ConvexExact} {
+		for num := int64(1); num <= 32; num++ {
+			u := oracle.RandomUtility(rand.New(rand.NewSource(1000+num)), len(band[0]))
+			alg := func() *HDPI {
+				a := NewHDPI(HDPIOptions{Mode: mode, Rng: rand.New(rand.NewSource(num))})
+				a.SetPrepCache(cache, 1)
+				return a
+			}
+			idx := alg().Run(band, pinnedK, oracle.NewUser(u))
+			if got := alg().RunMulti(band, pinnedK, 1, oracle.NewUser(u)); len(got) != 1 || got[0] != idx {
+				t.Errorf("%s dialogue %d: RunMulti(want 1) = %v, Run = %d", mode, num, got, idx)
+			}
+			idx, cert := alg().RunBudgeted(band, pinnedK, oracle.NewUser(u), six)
+			got, mcert := alg().RunMultiBudgeted(band, pinnedK, 1, oracle.NewUser(u), six)
+			cert.Elapsed, mcert.Elapsed = 0, 0
+			if len(got) != 1 || got[0] != idx || !reflect.DeepEqual(mcert, cert) {
+				t.Errorf("%s dialogue %d under %+v: RunMultiBudgeted(want 1) = %v %+v, RunBudgeted = %d %+v", mode, num, six, got, mcert, idx, cert)
+			}
+		}
+	}
+}
+
+// TestHDPIEmptiedAnswersAtLastProbe: in this dialogue a noisy user's
+// answers (error 0.3) empty HD-PI's partition set at the fifth question.
+// The multi-answer run then answers the top-want at its last probe,
+// uncertified, as the single-answer run does; the uniform utility's top-4
+// would be another set.
+func TestHDPIEmptiedAnswersAtLastProbe(t *testing.T) {
+	const k, want = 4, 4
+	rng := rand.New(rand.NewSource(79))
+	ds := dataset.AntiCorrelated(rng, 60, 3)
+	band := skyband.Filter(ds.Points, skyband.KSkyband(ds.Points, k))
+	u := oracle.RandomUtility(rng, 3)
+	for _, mode := range []ConvexMode{ConvexSampling, ConvexExact} {
+		a := NewHDPI(HDPIOptions{Mode: mode, Rng: rand.New(rand.NewSource(79))})
+		tr := newTracker(Budget{}, a.opt.Strategy, 1, nil)
+		user := oracle.NewNoisyUser(u, 0.3, rand.New(rand.NewSource(179)))
+		got := a.run(band, k, want, user, tr)
+		if cert := tr.certificate(band, k); cert.Certified || cert.Reason != StopDegenerate || cert.Questions != 5 {
+			t.Fatalf("%s: certificate %+v, want an uncertified %s exit after 5 questions", mode, cert, StopDegenerate)
+		}
+		if atProbe := oracle.TopK(band, tr.lastU, want); !slices.Equal(got, atProbe) {
+			t.Fatalf("%s: answered %v, want the top-%d at the last probe %v", mode, got, want, atProbe)
+		}
+		if uniform := oracle.TopK(band, uniformUtility(3), want); slices.Equal(got, uniform) {
+			t.Fatalf("%s: answered %v, the uniform utility's top-%d", mode, got, want)
+		}
 	}
 }

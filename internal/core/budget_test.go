@@ -234,7 +234,7 @@ func TestDegradedStopCadenceHonoured(t *testing.T) {
 			return cert
 		}},
 		{"hdpi-multi", func(o obs.Observer, user oracle.Oracle, b Budget) Certificate {
-			alg := NewHDPIMulti(HDPIOptions{Mode: ConvexSampling, Rng: rand.New(rand.NewSource(5))})
+			alg := NewHDPI(HDPIOptions{Mode: ConvexSampling, Rng: rand.New(rand.NewSource(5))})
 			alg.SetObserver(o)
 			_, cert := alg.RunMultiBudgeted(band, k, 2, user, b)
 			return cert

@@ -11,6 +11,8 @@
 package core
 
 import (
+	"fmt"
+
 	"ist/internal/geom"
 	"ist/internal/obs"
 	"ist/internal/oracle"
@@ -38,6 +40,14 @@ type MultiAlgorithm interface {
 	// on exhaustion it returns want best-effort indices with an honest
 	// Certificate.
 	RunMultiBudgeted(points []geom.Vector, k, want int, o oracle.Oracle, b Budget) ([]int, Certificate)
+}
+
+// checkWant panics unless 1 <= want <= k: a multi-answer run returns at
+// least one point and cannot promise more of the top-k than k.
+func checkWant(k, want int) {
+	if want < 1 || want > k {
+		panic(fmt.Sprintf("core: want %d outside [1, k = %d]", want, k))
+	}
 }
 
 // Budgeted is an Algorithm that can run anytime-style under a Budget:

@@ -44,7 +44,7 @@ func TestGammaIncrementalMatchesScratch(t *testing.T) {
 		// Use the exact strategy so cached and scratch classifications use
 		// identical predicates.
 		opt.Strategy = polytope.StrategyNone
-		C := buildPartitions(pts, V, d, nil)
+		C := buildPartitions(pts, V, polytope.NewSimplex(d), nil)
 		if len(C) < 2 {
 			continue
 		}
@@ -87,7 +87,7 @@ func TestQuickGammaApplySoundness(t *testing.T) {
 			return true
 		}
 		opt := NewHDPI(HDPIOptions{Rng: rng}).opt
-		C := buildPartitions(pts, V, d, nil)
+		C := buildPartitions(pts, V, polytope.NewSimplex(d), nil)
 		if len(C) < 2 {
 			return true
 		}

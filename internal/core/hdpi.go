@@ -68,6 +68,11 @@ type HDPIOptions struct {
 // HDPI is the high-dimensional partition-based algorithm of Section 5.2.
 // It asks O(n) questions in the worst case and O(log n) in the optimal case
 // (Theorem 5.6), and empirically the fewest among all evaluated algorithms.
+//
+// The same loop serves HD-PI-SomeTopK and HD-PI-AllTopK (Section 6.5.1),
+// which stop once `want` points fulfil Lemma 5.5 and refine the partitions
+// by the next convex layer when a lone cell settles its point or no
+// question is left (refine): Run is RunMulti with want = 1.
 type HDPI struct {
 	opt HDPIOptions
 }
@@ -89,7 +94,7 @@ func NewHDPI(opt HDPIOptions) *HDPI {
 	return &HDPI{opt: opt}
 }
 
-// Name implements Algorithm.
+// Name implements Algorithm and MultiAlgorithm.
 func (a *HDPI) Name() string { return fmt.Sprintf("HD-PI-%s", a.opt.Mode) }
 
 // SetObserver implements Observable.
@@ -110,15 +115,35 @@ type partition struct {
 
 // Run implements Algorithm.
 func (a *HDPI) Run(points []geom.Vector, k int, o oracle.Oracle) int {
-	return a.run(points, k, o, obsTracker(a.opt.Observer))
+	return a.run(points, k, 1, o, obsTracker(a.opt.Observer))[0]
+}
+
+// RunMulti implements MultiAlgorithm.
+func (a *HDPI) RunMulti(points []geom.Vector, k, want int, o oracle.Oracle) []int {
+	checkWant(k, want)
+	return a.run(points, k, want, o, obsTracker(a.opt.Observer))
 }
 
 // RunBudgeted implements Budgeted. On exhaustion it returns the top-1 at
 // the mean vertex of the surviving partitions.
 func (a *HDPI) RunBudgeted(points []geom.Vector, k int, o oracle.Oracle, b Budget) (int, Certificate) {
-	tr := newTracker(b, a.opt.Strategy, a.opt.StopCheckEvery, a.opt.Observer)
-	idx, cert := tr.guard(points, k, 1, func() []int { return []int{a.run(points, k, o, tr)} })
+	idx, cert := a.runBudgeted(points, k, 1, o, b)
 	return idx[0], cert
+}
+
+// RunMultiBudgeted implements MultiAlgorithm. On exhaustion it returns the
+// top-want at the mean vertex of the surviving partitions, best-effort.
+func (a *HDPI) RunMultiBudgeted(points []geom.Vector, k, want int, o oracle.Oracle, b Budget) ([]int, Certificate) {
+	checkWant(k, want)
+	return a.runBudgeted(points, k, want, o, b)
+}
+
+// runBudgeted runs HD-PI under b behind the tracker's panic barrier. Only
+// the multi-answer entry point checks want, so a single-answer run keeps
+// accepting any k.
+func (a *HDPI) runBudgeted(points []geom.Vector, k, want int, o oracle.Oracle, b Budget) ([]int, Certificate) {
+	tr := newTracker(b, a.opt.Strategy, a.opt.StopCheckEvery, a.opt.Observer)
+	return tr.guard(points, k, want, func() []int { return a.run(points, k, want, o, tr) })
 }
 
 // bestEffortCells finishes a run over a partition set without a
@@ -134,42 +159,43 @@ func bestEffortCells(points []geom.Vector, want int, C []partition, tr *tracker,
 	return oracle.TopK(points, geom.Mean(verts), want)
 }
 
-func (a *HDPI) run(points []geom.Vector, k int, o oracle.Oracle, tr *tracker) int {
+// run is HD-PI's loop: it returns want points that are certainly among the
+// user's top-k (best effort on any exit but Lemma 5.5 and, at want = 1, a
+// lone cell).
+func (a *HDPI) run(points []geom.Vector, k, want int, o oracle.Oracle, tr *tracker) []int {
 	d := len(points[0])
 	rng := a.opt.Rng
 
-	// Convex points V (Section 5.2.1).
+	// Convex points V (Section 5.2.1) and the initial partitions
+	// Θ_i = {u : u·(p_i − p_j) >= 0 ∀ p_j ∈ V\{p_i}}.
 	V := convexPoints(points, a.opt, tr)
-
-	// Initial partitions: Θ_i = {u : u·(p_i − p_j) >= 0 ∀ p_j ∈ V\{p_i}}.
-	C := buildPartitions(points, V, d, tr)
+	C := buildPartitions(points, V, polytope.NewSimplex(d), tr)
 	if tr.exhausted() {
 		// The budget died during construction; C may be partial, so even a
 		// single cell proves nothing.
-		return bestEffortCells(points, 1, C, tr, tr.stopReason())[0]
+		return bestEffortCells(points, want, C, tr, tr.stopReason())
 	}
+	lastProbe := uniformUtility(d)
 	if len(C) == 0 {
-		// Degenerate input (e.g. a single point duplicated); the winner at
-		// the simplex centre is top-1 everywhere it matters.
-		tr.finish(true, StopConverged, nil)
-		return argmaxAt(points, uniformUtility(d))
+		return emptied(points, want, lastProbe, tr)
 	}
 
 	// Γ with cached partition relationships (Section 5.2.1's list).
 	gamma := newGammaTable(points, V, C, a.opt)
 
+	vd := map[int]bool{} // confirmed points (the paper's V_d)
 	round := 0
 	stopEvery := a.opt.StopCheckEvery
-	lastProbe := uniformUtility(d)
 	var stop stopScratch
 	for {
-		// Stopping condition 1: a single partition left.
-		if len(C) == 1 {
+		// Stopping condition 1: a single partition left, whose point is the
+		// top-1 over all of R.
+		if want == 1 && len(C) == 1 {
 			tr.finish(true, StopConverged, C[0].poly.Vertices())
-			return C[0].point
+			return []int{C[0].point}
 		}
 		if tr.exhausted() {
-			return bestEffortCells(points, 1, C, tr, tr.stopReason())[0]
+			return bestEffortCells(points, want, C, tr, tr.stopReason())
 		}
 		tr.maybeDegrade()
 		if tr != nil && tr.active {
@@ -182,23 +208,31 @@ func (a *HDPI) run(points []geom.Vector, k int, o oracle.Oracle, tr *tracker) in
 			probe := C[rng.Intn(len(C))].poly.Sample(rng)
 			lastProbe = probe
 			tr.observe(probe, verts)
-			res := stop.lemma55(points, k, verts, probe, 1)
+			res := stop.lemma55(points, k, verts, probe, want)
 			tr.stopCheck(res != nil)
 			if res != nil {
 				tr.finish(true, StopConverged, verts)
-				return res[0]
+				return res
 			}
 		}
 		round++
 
-		// Point selection: the Γ row with the highest even score.
-		best := gamma.best()
+		// Point selection: the Γ row with the highest even score. A lone
+		// cell (want > 1) has settled its point as the top-1 over R, and an
+		// uninformative Γ has no question left; either way the partitions
+		// are refined by the next convex layer instead.
+		best := -1
+		if len(C) > 1 {
+			best = gamma.best()
+		}
 		if best < 0 {
-			// No informative hyperplane remains: the relative order of all
-			// convex points is fixed over R, so the top-1 at any point of R
-			// is determined and certainly among the top-k.
-			tr.finish(true, StopConverged, allVertices(C))
-			return argmaxAt(points, C[0].poly.Center())
+			next, Vnext := a.refine(points, k, C, vd, tr)
+			if next == nil {
+				return bestEffortCells(points, want, C, tr, tr.stopReason())
+			}
+			C = next
+			gamma = newGammaTable(points, Vnext, C, a.opt)
+			continue
 		}
 
 		// Ask the user and update C and Γ (information maintenance).
@@ -214,13 +248,65 @@ func (a *HDPI) run(points []geom.Vector, k int, o oracle.Oracle, tr *tracker) in
 		C = gamma.apply(h, C, best)
 		tr.pruned(beforeCells - len(C))
 		if len(C) == 0 {
-			// Only possible with an erring user (Section 6.4): every
-			// partition contradicted some answer. Fall back to the best
-			// point at the last known location estimate.
-			tr.finish(false, StopDegenerate, nil)
-			return argmaxAt(points, lastProbe)
+			return emptied(points, want, lastProbe, tr)
 		}
 	}
+}
+
+// emptied finishes a run whose partition set is empty, which only an erring
+// user (Section 6.4) or degenerate input brings about: every partition
+// contradicted some answer. The answer is the top-want at the last known
+// location estimate, best-effort.
+func emptied(points []geom.Vector, want int, lastProbe geom.Vector, tr *tracker) []int {
+	tr.finish(false, StopDegenerate, nil)
+	return oracle.TopK(points, lastProbe, want)
+}
+
+// refine is the V_d partition refinement of Section 6.5.1, for a lone cell
+// or an uninformative Γ: it confirms the points of the surviving
+// partitions (each is top-1 over its partition) into vd, then splits every
+// partition by the convex points of the unconfirmed points. It returns the
+// refined partitions with those convex points, or nil when the refinement
+// cannot go on: k points confirmed, none new, none unconfirmed, every cell
+// empty, or the budget spent mid-way.
+func (a *HDPI) refine(points []geom.Vector, k int, C []partition, vd map[int]bool, tr *tracker) ([]partition, []int) {
+	progress := false
+	for _, part := range C {
+		if !vd[part.point] {
+			vd[part.point] = true
+			progress = true
+		}
+	}
+	if len(vd) >= k || !progress {
+		return nil, nil
+	}
+	var sub []geom.Vector
+	var back []int
+	for i, p := range points {
+		if !vd[i] {
+			sub = append(sub, p)
+			back = append(back, i)
+		}
+	}
+	if len(sub) == 0 {
+		return nil, nil
+	}
+	// A subset's scan is keyed by nothing the fingerprint describes, and
+	// uncached its result is a fresh slice, mapped back in place.
+	opt := a.opt
+	opt.PrepCache, opt.PrepFingerprint = nil, 0
+	V := convexPoints(sub, opt, tr)
+	for i, v := range V {
+		V[i] = back[v]
+	}
+	var next []partition
+	for _, part := range C {
+		next = append(next, buildPartitions(points, V, part.poly, tr)...)
+	}
+	if tr.exhausted() || len(next) == 0 {
+		return nil, nil
+	}
+	return next, V
 }
 
 // prepKindConvexExact is the prep.Cache kind for the exact convex-point set
@@ -304,17 +390,18 @@ func copyInts(v []int) []int {
 // intsBytes approximates a cached []int's resident size for the byte cap.
 func intsBytes(v []int) int64 { return int64(len(v))*8 + 24 }
 
-// buildPartitions constructs the initial partition set C from the convex
-// points, skipping empty (and therefore impossible) cells. Under an
-// exhausted budget it stops early and returns the cells built so far
-// (callers detect this via the tracker and answer best-effort).
-func buildPartitions(points []geom.Vector, V []int, d int, tr *tracker) []partition {
+// buildPartitions splits region into the cells of the convex points V: the
+// cell of V's point i is the part of region where points[i] beats every
+// other point of V. Empty (and therefore impossible) cells are skipped.
+// Under an exhausted budget it stops early and returns the cells built so
+// far (callers detect this via the tracker and answer best-effort).
+func buildPartitions(points []geom.Vector, V []int, region *polytope.Polytope, tr *tracker) []partition {
 	var C []partition
 	for _, i := range V {
 		if tr.exhausted() {
 			break
 		}
-		poly := polytope.NewSimplex(d)
+		poly := region.Clone()
 		for _, j := range V {
 			if i == j {
 				continue

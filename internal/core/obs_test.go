@@ -105,7 +105,7 @@ func observedCases() []observedCase {
 			return alg.RunMulti(band, k, 2, user)
 		}},
 		{"hdpi-multi", 3, func(o obs.Observer, band []geom.Vector, k int, user oracle.Oracle) []int {
-			alg := NewHDPIMulti(HDPIOptions{Mode: ConvexExact, Rng: rand.New(rand.NewSource(5))})
+			alg := NewHDPI(HDPIOptions{Mode: ConvexExact, Rng: rand.New(rand.NewSource(5))})
 			alg.SetObserver(o)
 			return alg.RunMulti(band, k, 2, user)
 		}},

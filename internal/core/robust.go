@@ -113,7 +113,7 @@ func (a *RobustHDPI) run(points []geom.Vector, k int, o oracle.Oracle, tr *track
 		Mode: a.opt.Mode, Samples: a.opt.Samples, Rng: rng,
 		PrepCache: a.opt.PrepCache, PrepFingerprint: a.opt.PrepFingerprint,
 	}, tr)
-	C := buildPartitions(points, V, d, tr)
+	C := buildPartitions(points, V, polytope.NewSimplex(d), tr)
 	if tr.exhausted() {
 		return bestEffortCells(points, 1, C, tr, tr.stopReason())[0]
 	}

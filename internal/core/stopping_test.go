@@ -107,7 +107,7 @@ func tappedRegions(name string, band []geom.Vector, k int, seed int64) []stopInp
 	} else {
 		a := NewHDPI(HDPIOptions{Mode: ConvexExact, Rng: rng})
 		tap.tr = newTracker(Budget{}, a.opt.Strategy, 1, nil)
-		a.run(band, k, tap, tap.tr)
+		a.run(band, k, 1, tap, tap.tr)
 	}
 	for i := range tap.seen {
 		tap.seen[i].points, tap.seen[i].k = band, k

@@ -226,15 +226,20 @@ func LowerBound(rng *rand.Rand, n, d, k int) *Dataset {
 	return &Dataset{Name: fmt.Sprintf("lowerbound-n%d-k%d", n, k), Points: pts}
 }
 
-// ByName builds one of the named datasets used in the experiments.
+// ByName builds one of the named datasets used in the experiments. It
+// refuses n < 1, and d < 1 for the synthetic families, whose dimension is a
+// parameter (the real-data stand-ins fix their own).
 func ByName(name string, rng *rand.Rand, n, d int) (*Dataset, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("dataset: n = %d, want at least 1 tuple", n)
+	}
 	switch name {
 	case "anti", "anticorrelated":
-		return AntiCorrelated(rng, n, d), nil
+		return synthetic(AntiCorrelated, rng, n, d)
 	case "corr", "correlated":
-		return Correlated(rng, n, d), nil
+		return synthetic(Correlated, rng, n, d)
 	case "indep", "independent":
-		return Independent(rng, n, d), nil
+		return synthetic(Independent, rng, n, d)
 	case "island":
 		return IslandLike(rng, n), nil
 	case "weather":
@@ -246,4 +251,12 @@ func ByName(name string, rng *rand.Rand, n, d int) (*Dataset, error) {
 	default:
 		return nil, fmt.Errorf("dataset: unknown dataset %q", name)
 	}
+}
+
+// synthetic builds a synthetic family at dimension d, refusing d < 1.
+func synthetic(gen func(*rand.Rand, int, int) *Dataset, rng *rand.Rand, n, d int) (*Dataset, error) {
+	if d < 1 {
+		return nil, fmt.Errorf("dataset: d = %d, want at least 1 dimension", d)
+	}
+	return gen(rng, n, d), nil
 }

@@ -147,6 +147,37 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestByNameRefusesEmptySizes: a dataset with no tuples, or a synthetic one
+// with no dimensions, is an error rather than a dataset the algorithms
+// cannot run on; the stand-ins with a fixed dimension ignore d.
+func TestByNameRefusesEmptySizes(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		n, d  int
+		valid bool
+	}{
+		{"car", 0, 3, false},
+		{"island", -3, 2, false},
+		{"indep", 0, 3, false},
+		{"anti", 10, 0, false},
+		{"corr", 10, -1, false},
+		{"indep", 10, 0, false},
+		{"anti", 1, 1, true},
+		{"car", 1, 0, true},
+		{"nba", 10, 0, true},
+		{"weather", 10, -2, true},
+	} {
+		ds, err := ByName(c.name, rand.New(rand.NewSource(1)), c.n, c.d)
+		if valid := err == nil; valid != c.valid {
+			t.Errorf("ByName(%q, n=%d, d=%d): error %v, want valid=%v", c.name, c.n, c.d, err, c.valid)
+			continue
+		}
+		if c.valid && (ds.Size() != c.n || ds.Dim() < 1) {
+			t.Errorf("ByName(%q, n=%d, d=%d): %d tuples of dimension %d", c.name, c.n, c.d, ds.Size(), ds.Dim())
+		}
+	}
+}
+
 func TestDeterministicWithSeed(t *testing.T) {
 	a := AntiCorrelated(rand.New(rand.NewSource(9)), 100, 4)
 	b := AntiCorrelated(rand.New(rand.NewSource(9)), 100, 4)

@@ -46,10 +46,10 @@ func allTopKSpecs() []multiSpec {
 	return []multiSpec{
 		{"RH", func(seed int64) core.MultiAlgorithm { return core.NewRHDefault(seed) }},
 		{"HD-PI-sampling", func(seed int64) core.MultiAlgorithm {
-			return core.NewHDPIMulti(core.HDPIOptions{Mode: core.ConvexSampling, Rng: rand.New(rand.NewSource(seed))})
+			return core.NewHDPI(core.HDPIOptions{Mode: core.ConvexSampling, Rng: rand.New(rand.NewSource(seed))})
 		}},
 		{"HD-PI-accurate", func(seed int64) core.MultiAlgorithm {
-			return core.NewHDPIMulti(core.HDPIOptions{Mode: core.ConvexExact, Rng: rand.New(rand.NewSource(seed))})
+			return core.NewHDPI(core.HDPIOptions{Mode: core.ConvexExact, Rng: rand.New(rand.NewSource(seed))})
 		}},
 	}
 }

@@ -120,7 +120,7 @@ func TestChaosAnytimeInvariantMulti(t *testing.T) {
 			return core.NewRHDefault(s)
 		}},
 		{"hdpi-multi", 3, func(s int64) core.MultiAlgorithm {
-			return core.NewHDPIMulti(core.HDPIOptions{Mode: core.ConvexSampling, Rng: rand.New(rand.NewSource(s))})
+			return core.NewHDPI(core.HDPIOptions{Mode: core.ConvexSampling, Rng: rand.New(rand.NewSource(s))})
 		}},
 	}
 	for _, mc := range multis {

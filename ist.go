@@ -307,9 +307,11 @@ func NewRH(seed int64) Algorithm { return core.NewRHDefault(seed) }
 // same algorithm as NewRH, whose loop stops once `want` points are certain.
 func NewRHMulti(seed int64) MultiAlgorithm { return core.NewRHDefault(seed) }
 
-// NewHDPIMulti returns the multi-answer HD-PI variant (Section 6.5).
+// NewHDPIMulti returns HD-PI for the multi-answer variants (Section 6.5):
+// the same algorithm as NewHDPI, whose loop stops once `want` points are
+// certain.
 func NewHDPIMulti(seed int64) MultiAlgorithm {
-	return core.NewHDPIMulti(core.HDPIOptions{
+	return core.NewHDPI(core.HDPIOptions{
 		Mode: core.ConvexSampling,
 		Rng:  rand.New(rand.NewSource(seed)),
 	})

@@ -106,6 +106,11 @@ func panicAtFifth(o Oracle) Oracle {
 	return &faultinject.Oracle{Inner: o, Plan: faultinject.Plan{PanicAt: 5}}
 }
 
+// flipFirst is an oracle that inverts its first answer, an erring user.
+func flipFirst(o Oracle) Oracle {
+	return &faultinject.Oracle{Inner: o, Plan: faultinject.Plan{FlipAt: 1}}
+}
+
 func TestPinnedDialogueDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		// Other ports may fuse x*y+z into one FMA, which rounds differently
@@ -118,9 +123,9 @@ func TestPinnedDialogueDigests(t *testing.T) {
 			return []int{Solve(newAlg(num), band, pinnedK, o).Index}, nil
 		}
 	}
-	multi := func(newAlg func(seed int64) MultiAlgorithm) pinnedRun {
+	multi := func(newAlg func(seed int64) MultiAlgorithm, want int) pinnedRun {
 		return func(num int64, o Oracle) ([]int, *Certificate) {
-			return newAlg(num).RunMulti(band, pinnedK, pinnedWant, o), nil
+			return newAlg(num).RunMulti(band, pinnedK, want, o), nil
 		}
 	}
 	// budgeted runs a dialogue under b; wrap, when set, sits between the
@@ -134,17 +139,18 @@ func TestPinnedDialogueDigests(t *testing.T) {
 			return []int{res.Index}, res.Certificate
 		}
 	}
-	budgetedMulti := func(newAlg func(seed int64) MultiAlgorithm, b Budget, wrap func(Oracle) Oracle) pinnedRun {
+	budgetedMulti := func(newAlg func(seed int64) MultiAlgorithm, want int, b Budget, wrap func(Oracle) Oracle) pinnedRun {
 		return func(num int64, o Oracle) ([]int, *Certificate) {
 			if wrap != nil {
 				o = wrap(o)
 			}
-			idx, cert := newAlg(num).RunMultiBudgeted(band, pinnedK, pinnedWant, o, b)
+			idx, cert := newAlg(num).RunMultiBudgeted(band, pinnedK, want, o, b)
 			return idx, &cert
 		}
 	}
 	six := Budget{MaxQuestions: 6}
 	roomy := Budget{MaxQuestions: 64}
+	allTopK := Budget{MaxQuestions: 24}
 	cases := []struct {
 		name string
 		run  pinnedRun
@@ -153,13 +159,19 @@ func TestPinnedDialogueDigests(t *testing.T) {
 		{"RH", single(NewRH), "abb24c196dd8dd10769f8bfb38b71577ddcfc857087d99cdf566c1862a05a974"},
 		{"HD-PI-accurate", single(NewHDPIAccurate), "30adf2bcba194b5b0c8b54ac8baeae9ff1258bd6598be68366917accfabbc1ce"},
 		{"RobustHDPI", single(NewRobustHDPI), "b9172a5e13cfd55b06dc1c489715e24c7c669272db0501196b9a51b1d9e5d58a"},
-		{"RH-SomeTopK", multi(NewRHMulti), "35537bf29e2e7336688b0884aaeb4b35b63e0f73b8d1d89bd790eb318ec8cf9b"},
-		{"HD-PI-SomeTopK", multi(NewHDPIMulti), "e82b4169d68780c384497d15f27aba034ecf0966180a5df1d03a6e9c850ef509"},
+		{"RH-SomeTopK", multi(NewRHMulti, pinnedWant), "35537bf29e2e7336688b0884aaeb4b35b63e0f73b8d1d89bd790eb318ec8cf9b"},
+		{"HD-PI-SomeTopK", multi(NewHDPIMulti, pinnedWant), "e82b4169d68780c384497d15f27aba034ecf0966180a5df1d03a6e9c850ef509"},
 		{"RH/max-6", budgeted(NewRH, six, nil), "5ef30c7de105182404ded4c4bbc00ce0aed3129fffcd027197d2df1366679cf2"},
-		{"RH-SomeTopK/max-6", budgetedMulti(NewRHMulti, six, nil), "0bfb75482c16fa35b2d77661bce9a1c11bf35504e284e20979e5c1f1414d7cb4"},
-		{"HD-PI-SomeTopK/max-6", budgetedMulti(NewHDPIMulti, six, nil), "4e9ccd4e75f0ac506c9f6677b1daba27b6e2948f35660b0304aa28039b90a8ed"},
+		{"RH-SomeTopK/max-6", budgetedMulti(NewRHMulti, pinnedWant, six, nil), "0bfb75482c16fa35b2d77661bce9a1c11bf35504e284e20979e5c1f1414d7cb4"},
+		{"HD-PI-SomeTopK/max-6", budgetedMulti(NewHDPIMulti, pinnedWant, six, nil), "4e9ccd4e75f0ac506c9f6677b1daba27b6e2948f35660b0304aa28039b90a8ed"},
 		{"RH/panic-5", budgeted(NewRH, roomy, panicAtFifth), "53edde05e786b3390af6ef22eb652c43a1634437b016ffa7741b1e827cc338af"},
-		{"RH-SomeTopK/panic-5", budgetedMulti(NewRHMulti, roomy, panicAtFifth), "d50f2dd031f3cb98afdd801b6655b13d8276339c9bd378660f0a12e0ca28ee36"},
+		{"RH-SomeTopK/panic-5", budgetedMulti(NewRHMulti, pinnedWant, roomy, panicAtFifth), "d50f2dd031f3cb98afdd801b6655b13d8276339c9bd378660f0a12e0ca28ee36"},
+		{"HD-PI-sampling", single(NewHDPI), "5f35ada62cadcbff80974e316f5303764470084013d56a799240e621b089a129"},
+		{"HD-PI-sampling/max-6", budgeted(NewHDPI, six, nil), "4785a3b28253631eefa8d1a66bca3497872308ffabf6054cf56817d45639b133"},
+		{"HD-PI-sampling/flip-1", budgeted(NewHDPI, roomy, flipFirst), "7576c2bd7a82e10c12eb61b8f7109b794fa1036b745f8e1981124cb1d2a8b5e9"},
+		{"HD-PI-AllTopK", multi(NewHDPIMulti, pinnedK), "53323555035b14fb41e321d7498a3ca0bc7348bb349ac807570ae2d475825e53"},
+		{"HD-PI-AllTopK/max-24", budgetedMulti(NewHDPIMulti, pinnedK, allTopK, nil), "bbf97912c86bd817be51021897263b121a63e40543ad5395d83e8d580a14e2d5"},
+		{"HD-PI-SomeTopK/panic-5", budgetedMulti(NewHDPIMulti, pinnedWant, roomy, panicAtFifth), "aa3647646c4d89d8716cf318867cdfaf3898b967337de00fdedab26abcfbd28c"},
 	}
 	for _, c := range cases {
 		if got := pinnedDigest(band, c.run); got != c.want {
