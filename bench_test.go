@@ -95,6 +95,7 @@ func BenchmarkAlgorithms(b *testing.B) {
 	}{
 		{"RH", func(s int64) Algorithm { return NewRH(s) }},
 		{"HD-PI-sampling", func(s int64) Algorithm { return NewHDPI(s) }},
+		{"Robust-HD-PI", func(s int64) Algorithm { return NewRobustHDPI(s) }},
 		{"UH-Random", func(s int64) Algorithm { return NewUHRandom(eps, s) }},
 		{"UH-Simplex", func(s int64) Algorithm { return NewUHSimplex(eps, s) }},
 		{"UtilityApprox", func(s int64) Algorithm { return NewUtilityApprox(eps) }},

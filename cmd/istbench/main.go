@@ -34,10 +34,15 @@ func main() {
 		jsonOut  = flag.String("json", "", "also append results as JSON to this file")
 	)
 	flag.Parse()
+	kv := parseInts(*ks)
+	if err := checkFlags(*n, *d, *trials, kv); err != nil {
+		fmt.Fprintln(os.Stderr, "istbench:", err)
+		os.Exit(2)
+	}
 
 	cfg := experiments.Config{
 		N: *n, D: *d, Trials: *trials, Seed: *seed, Heavy: *heavy,
-		Ks: parseInts(*ks), Parallel: *parallel,
+		Ks: kv, Parallel: *parallel,
 	}
 
 	names := experiments.Names()
@@ -69,6 +74,26 @@ func main() {
 		}
 		fmt.Printf("(%s completed in %.1fs)\n\n", name, time.Since(start).Seconds())
 	}
+}
+
+// checkFlags rejects sizes no experiment can run, so a bad command line
+// fails before any dataset is built: a zero would otherwise fall back to the
+// default and a negative one would panic mid-run.
+func checkFlags(n, d, trials int, ks []int) error {
+	switch {
+	case n < 1:
+		return fmt.Errorf("-n must be at least 1, got %d", n)
+	case d < 1:
+		return fmt.Errorf("-d must be at least 1, got %d", d)
+	case trials < 1:
+		return fmt.Errorf("-trials must be at least 1, got %d", trials)
+	}
+	for _, k := range ks {
+		if k < 1 {
+			return fmt.Errorf("-k values must be at least 1, got %d", k)
+		}
+	}
+	return nil
 }
 
 func parseInts(s string) []int {

@@ -17,7 +17,7 @@ import (
 // and stops when one partition dominates the weight mass. Trades a few
 // extra questions for mistake recovery; see the ext-noise experiment.
 func NewRobustHDPI(seed int64) Algorithm {
-	return core.NewRobustHDPI(core.RobustHDPIOptions{
+	return core.NewRobustHDPI(core.HDPIOptions{
 		Mode: core.ConvexSampling,
 		Rng:  rand.New(rand.NewSource(seed)),
 	})

@@ -201,7 +201,9 @@ func (o *jumpingOracle) Questions() int { return o.inner.Questions() }
 
 // TestDegradedStopCadenceHonoured: once the ladder halves the stop-check
 // cadence, every budgeted variant that lists the step in its certificate
-// must actually check at most every other round from then on.
+// must actually check at most every other round from then on. RobustHDPI
+// classifies nothing after set-up, so its certificate lists no bounding
+// step, only the cadence.
 func TestDegradedStopCadenceHonoured(t *testing.T) {
 	const k = 5
 	rng := rand.New(rand.NewSource(42))
@@ -240,7 +242,7 @@ func TestDegradedStopCadenceHonoured(t *testing.T) {
 			return cert
 		}},
 		{"robust-hdpi", func(o obs.Observer, user oracle.Oracle, b Budget) Certificate {
-			alg := NewRobustHDPI(RobustHDPIOptions{Mode: ConvexSampling, Rng: rand.New(rand.NewSource(5))})
+			alg := NewRobustHDPI(HDPIOptions{Mode: ConvexSampling, Rng: rand.New(rand.NewSource(5))})
 			alg.SetObserver(o)
 			_, cert := alg.RunBudgeted(band, k, user, b)
 			return cert
@@ -255,6 +257,9 @@ func TestDegradedStopCadenceHonoured(t *testing.T) {
 
 			if !slices.Contains(cert.Degradations, cadenceNote) {
 				t.Fatalf("certificate degradations %v do not list %q", cert.Degradations, cadenceNote)
+			}
+			if c.name == "robust-hdpi" && !slices.Equal(cert.Degradations, []string{cadenceNote}) {
+				t.Errorf("certificate degradations %v, want only %q", cert.Degradations, cadenceNote)
 			}
 			var degraded bool
 			var questions, checks int

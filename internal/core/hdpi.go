@@ -31,14 +31,16 @@ func (m ConvexMode) String() string {
 	return "sampling"
 }
 
-// HDPIOptions configures HD-PI.
+// HDPIOptions configures HD-PI and its noise-tolerant variant RobustHDPI,
+// which share the set-up below; every field but Beta applies to both.
 type HDPIOptions struct {
 	// Mode selects exact vs sampled convex points. Default ConvexSampling.
 	Mode ConvexMode
 	// Samples is the number of utility samples in sampling mode (default 400).
 	Samples int
 	// Beta is the even-score balance parameter β of Definition 5.4
-	// (default 0.01, the value the paper settles on in Figure 6).
+	// (default 0.01, the value the paper settles on in Figure 6). HD-PI
+	// only: RobustHDPI picks its questions by weight.
 	Beta float64
 	// Strategy is the bounding shortcut for classifying partitions against
 	// hyperplanes. The zero value is the bounding ball, the paper's choice
@@ -163,26 +165,12 @@ func bestEffortCells(points []geom.Vector, want int, C []partition, tr *tracker,
 // user's top-k (best effort on any exit but Lemma 5.5 and, at want = 1, a
 // lone cell).
 func (a *HDPI) run(points []geom.Vector, k, want int, o oracle.Oracle, tr *tracker) []int {
-	d := len(points[0])
+	C, gamma, done := setup(points, want, a.opt, tr)
+	if done != nil {
+		return done
+	}
 	rng := a.opt.Rng
-
-	// Convex points V (Section 5.2.1) and the initial partitions
-	// Θ_i = {u : u·(p_i − p_j) >= 0 ∀ p_j ∈ V\{p_i}}.
-	V := convexPoints(points, a.opt, tr)
-	C := buildPartitions(points, V, polytope.NewSimplex(d), tr)
-	if tr.exhausted() {
-		// The budget died during construction; C may be partial, so even a
-		// single cell proves nothing.
-		return bestEffortCells(points, want, C, tr, tr.stopReason())
-	}
-	lastProbe := uniformUtility(d)
-	if len(C) == 0 {
-		return emptied(points, want, lastProbe, tr)
-	}
-
-	// Γ with cached partition relationships (Section 5.2.1's list).
-	gamma := newGammaTable(points, V, C, a.opt)
-
+	lastProbe := uniformUtility(len(points[0]))
 	vd := map[int]bool{} // confirmed points (the paper's V_d)
 	round := 0
 	stopEvery := a.opt.StopCheckEvery
@@ -253,10 +241,31 @@ func (a *HDPI) run(points []geom.Vector, k, want int, o oracle.Oracle, tr *track
 	}
 }
 
+// setup is the set-up HD-PI and RobustHDPI share (Section 5.2.1): the
+// convex points V, the initial partitions
+// Θ_i = {u : u·(p_i − p_j) >= 0 ∀ p_j ∈ V\{p_i}} of the simplex, and Γ with
+// its cached partition relationships. It has two exits, and done is non-nil,
+// the run's answer, exactly when the run ended at one: a budget spent during
+// construction answers best-effort (C may be partial, so even a single cell
+// proves nothing), and no cell built takes the emptied exit at the uniform
+// utility.
+func setup(points []geom.Vector, want int, opt HDPIOptions, tr *tracker) (C []partition, gamma *gammaTable, done []int) {
+	d := len(points[0])
+	V := convexPoints(points, opt, tr)
+	C = buildPartitions(points, V, polytope.NewSimplex(d), tr)
+	if tr.exhausted() {
+		return nil, nil, bestEffortCells(points, want, C, tr, tr.stopReason())
+	}
+	if len(C) == 0 {
+		return nil, nil, emptied(points, want, uniformUtility(d), tr)
+	}
+	return C, newGammaTable(points, V, C, opt), nil
+}
+
 // emptied finishes a run whose partition set is empty, which only an erring
 // user (Section 6.4) or degenerate input brings about: every partition
-// contradicted some answer. The answer is the top-want at the last known
-// location estimate, best-effort.
+// contradicted some answer, or none was built. The answer is the top-want
+// at the last known location estimate, best-effort.
 func emptied(points []geom.Vector, want int, lastProbe geom.Vector, tr *tracker) []int {
 	tr.finish(false, StopDegenerate, nil)
 	return oracle.TopK(points, lastProbe, want)

@@ -95,7 +95,7 @@ func observedCases() []observedCase {
 			return []int{alg.Run(band, k, user)}
 		}},
 		{"robust-hdpi", 3, func(o obs.Observer, band []geom.Vector, k int, user oracle.Oracle) []int {
-			alg := NewRobustHDPI(RobustHDPIOptions{Mode: ConvexExact, Rng: rand.New(rand.NewSource(3))})
+			alg := NewRobustHDPI(HDPIOptions{Mode: ConvexExact, Rng: rand.New(rand.NewSource(3))})
 			alg.SetObserver(o)
 			return []int{alg.Run(band, k, user)}
 		}},

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"ist/internal/geom"
@@ -19,66 +18,42 @@ import (
 // holding the true utility vector — RobustHDPI keeps all partitions and
 // maintains a multiplicative weight per partition (the weighted-majority /
 // noisy-binary-search scheme): partitions on the side contradicted by an
-// answer are multiplied by Eta < 1 instead of removed. It stops when one
-// partition holds a Confidence fraction of the total weight and returns its
-// associated point.
+// answer are multiplied by robustEta < 1 instead of removed. It stops when
+// Lemma 5.5 certifies a point over the credible region, the heaviest
+// partitions holding a robustConfidence fraction of the total weight.
+//
+// It is HD-PI in code as well as in name: the same options, set-up and Γ
+// table (the partitions are never cut, so Γ is classified once).
 //
 // With a truthful user the behaviour converges to HD-PI's (the true
 // partition's weight is never discounted); with an erring user a mistake
 // costs weight but is recoverable, trading a few extra questions for
 // accuracy (see the ext-noise experiment in EXPERIMENTS.md).
 type RobustHDPI struct {
-	opt RobustHDPIOptions
+	opt HDPIOptions
 }
 
-// RobustHDPIOptions configures RobustHDPI.
-type RobustHDPIOptions struct {
-	// Mode and Samples control convex-point detection as in HDPIOptions.
-	Mode    ConvexMode
-	Samples int
-	// Eta is the multiplicative penalty for partitions contradicting an
-	// answer (default 0.25). Smaller trusts the user more. It plays the
-	// role of p/(1-p) in a posterior update with assumed error rate p.
-	Eta float64
-	// Cooldown is how many rounds must pass before the same question can be
-	// asked again (default 2). Re-asking is what lets the posterior average
-	// out answer noise, but a human should not see the identical pair twice
-	// in a row.
-	Cooldown int
-	// Confidence is the weight fraction one partition must reach to stop
-	// (default 0.95).
-	Confidence float64
-	// MaxQuestions caps the interaction (default 4·log₂ of the partition
-	// count + 16, enough for several recoveries).
-	MaxQuestions int
-	// Rng drives sampling; required.
-	Rng *rand.Rand
-	// Observer receives trace events (internal/obs); nil disables tracing.
-	Observer obs.Observer
-	// PrepCache and PrepFingerprint control the exact convex-point scan as
-	// in HDPIOptions.
-	PrepCache       *prep.Cache
-	PrepFingerprint uint64
-}
+const (
+	// robustEta is the multiplicative penalty for partitions contradicting
+	// an answer. Smaller trusts the user more. It plays the role of p/(1-p)
+	// in a posterior update with assumed error rate p.
+	robustEta = 0.25
+	// robustCooldown is how many rounds must pass before the same question
+	// can be asked again. Re-asking is what lets the posterior average out
+	// answer noise, but a human should not see the identical pair twice in
+	// a row.
+	robustCooldown = 2
+	// robustConfidence is the weight fraction the credible region must hold
+	// to stop.
+	robustConfidence = 0.95
+)
 
-// NewRobustHDPI builds the noise-tolerant HD-PI variant.
-func NewRobustHDPI(opt RobustHDPIOptions) *RobustHDPI {
-	if opt.Samples <= 0 {
-		opt.Samples = 400
-	}
-	if opt.Eta == 0 {
-		opt.Eta = 0.25
-	}
-	if opt.Confidence == 0 {
-		opt.Confidence = 0.95
-	}
-	if opt.Cooldown <= 0 {
-		opt.Cooldown = 2
-	}
-	if opt.Rng == nil {
-		opt.Rng = rand.New(rand.NewSource(1))
-	}
-	return &RobustHDPI{opt: opt}
+// NewRobustHDPI builds the noise-tolerant HD-PI variant from HD-PI's
+// options, with HD-PI's defaults. Its own question cap is
+// 16 + 4·⌈log₂|C|⌉ for |C| partitions, enough for several recoveries; a
+// caller who wants a tighter one runs it under a Budget.
+func NewRobustHDPI(opt HDPIOptions) *RobustHDPI {
+	return &RobustHDPI{opt: NewHDPI(opt).opt}
 }
 
 // Name implements Algorithm.
@@ -98,37 +73,27 @@ func (a *RobustHDPI) Run(points []geom.Vector, k int, o oracle.Oracle) int {
 }
 
 // RunBudgeted implements Budgeted. The certificate additionally reports the
-// posterior weight fraction behind the answer (CredibleWeight).
+// posterior weight fraction behind the answer (CredibleWeight). Γ is
+// classified once, at set-up, so a bounding downgrade would trade nothing:
+// the degradation ladder's only step here is the stop-check cadence.
 func (a *RobustHDPI) RunBudgeted(points []geom.Vector, k int, o oracle.Oracle, b Budget) (int, Certificate) {
-	tr := newTracker(b, polytope.StrategyBall, 1, a.opt.Observer)
+	tr := newTracker(b, polytope.StrategyNone, a.opt.StopCheckEvery, a.opt.Observer)
 	idx, cert := tr.guard(points, k, 1, func() []int { return []int{a.run(points, k, o, tr)} })
 	return idx[0], cert
 }
 
 func (a *RobustHDPI) run(points []geom.Vector, k int, o oracle.Oracle, tr *tracker) int {
-	d := len(points[0])
-	rng := a.opt.Rng
-
-	V := convexPoints(points, HDPIOptions{
-		Mode: a.opt.Mode, Samples: a.opt.Samples, Rng: rng,
-		PrepCache: a.opt.PrepCache, PrepFingerprint: a.opt.PrepFingerprint,
-	}, tr)
-	C := buildPartitions(points, V, polytope.NewSimplex(d), tr)
-	if tr.exhausted() {
-		return bestEffortCells(points, 1, C, tr, tr.stopReason())[0]
-	}
-	if len(C) == 0 {
-		tr.finish(true, StopConverged, nil)
-		return argmaxAt(points, uniformUtility(d))
+	C, gamma, done := setup(points, 1, a.opt, tr)
+	if done != nil {
+		return done[0]
 	}
 	if len(C) == 1 {
 		tr.finish(true, StopConverged, C[0].poly.Vertices())
 		return C[0].point
 	}
 
-	// Fixed partitions, multiplicative weights. The bounding strategy starts
-	// at the paper's ball and may be downgraded by the degradation ladder.
-	strat := polytope.StrategyBall
+	// Fixed partitions, multiplicative weights. The partitions are never
+	// cut, so Γ's classifications from set-up hold for the whole run.
 	w := make([]float64, len(C))
 	for i := range w {
 		w[i] = 1
@@ -137,11 +102,10 @@ func (a *RobustHDPI) run(points []geom.Vector, k int, o oracle.Oracle, tr *track
 	for i, part := range C {
 		centers[i] = part.poly.Center()
 	}
-	gamma := buildGamma(points, V)
 	var stop stopScratch
 
 	// credible returns the smallest set of cells (by descending weight)
-	// holding at least a Confidence fraction of the total weight — the
+	// holding at least a robustConfidence fraction of the total weight — the
 	// region the posterior believes the utility vector is in — and the
 	// weight fraction that set actually holds.
 	credible := func() ([]int, float64) {
@@ -154,7 +118,7 @@ func (a *RobustHDPI) run(points []geom.Vector, k int, o oracle.Oracle, tr *track
 		for _, wi := range w {
 			total += wi
 		}
-		need := a.opt.Confidence * total
+		need := robustConfidence * total
 		var cells []int
 		acc := 0.0
 		for _, ci := range idx {
@@ -176,7 +140,7 @@ func (a *RobustHDPI) run(points []geom.Vector, k int, o oracle.Oracle, tr *track
 	// returns the region's vertices for certificate accounting.
 	answer := func(cells []int, strict bool) (int, []geom.Vector, bool) {
 		var verts []geom.Vector
-		probe := geom.NewVector(d)
+		probe := geom.NewVector(len(points[0]))
 		var wsum float64
 		for _, ci := range cells {
 			verts = append(verts, C[ci].poly.Vertices()...)
@@ -193,15 +157,12 @@ func (a *RobustHDPI) run(points []geom.Vector, k int, o oracle.Oracle, tr *track
 		if strict {
 			return 0, verts, false
 		}
-		return argmaxAt(points, probe), verts, true
+		return oracle.TopK(points, probe, 1)[0], verts, true
 	}
 
-	maxQ := a.opt.MaxQuestions
-	if maxQ <= 0 {
-		maxQ = 16
-		for m := 1; m < len(C); m *= 2 {
-			maxQ += 4
-		}
+	maxQ := 16
+	for m := 1; m < len(C); m *= 2 {
+		maxQ += 4
 	}
 	lastAsked := map[int]int{}
 
@@ -212,7 +173,7 @@ func (a *RobustHDPI) run(points []geom.Vector, k int, o oracle.Oracle, tr *track
 		tr.finish(certified, reason, verts)
 	}
 
-	stopEvery := 1
+	stopEvery := a.opt.StopCheckEvery
 	for q := 0; q < maxQ; q++ {
 		// Stopping: Lemma 5.5 over the credible region — the posterior's
 		// generalization of HD-PI's stopping condition 2.
@@ -228,26 +189,25 @@ func (a *RobustHDPI) run(points []geom.Vector, k int, o oracle.Oracle, tr *track
 		}
 		tr.maybeDegrade()
 		if tr != nil && tr.active {
-			strat, stopEvery = tr.strategy, tr.stopEvery
+			stopEvery = tr.stopEvery
 		}
 
-		// Question selection: the hyperplane splitting the WEIGHT most
-		// evenly (the weighted analogue of the even score). Partition/
-		// hyperplane relationships are exact (with the bounding-ball
-		// shortcut); straddling partitions count half their weight per side.
-		// Rows stay askable after a cooldown — repeating an informative
-		// question is exactly how a posterior shakes off answer noise.
+		// Question selection: the Γ row splitting the WEIGHT most evenly
+		// (the weighted analogue of the even score); straddling partitions
+		// count half their weight per side. Rows stay askable after a
+		// cooldown — repeating an informative question is exactly how a
+		// posterior shakes off answer noise.
 		bestRow, bestScore := -1, -1.0
-		for ri, row := range gamma {
+		for r, cls := range gamma.classes {
 			if tr.exhausted() {
 				break
 			}
-			if asked, ok := lastAsked[ri]; ok && q-asked <= a.opt.Cooldown {
+			if asked, ok := lastAsked[r]; ok && q-asked <= robustCooldown {
 				continue
 			}
 			var above, below float64
-			for ci, part := range C {
-				switch part.poly.ClassifyWith(row.h, strat, nil) {
+			for ci, c := range cls {
+				switch polytope.Class(c) {
 				case polytope.ClassAbove:
 					above += w[ci]
 				case polytope.ClassBelow:
@@ -257,12 +217,8 @@ func (a *RobustHDPI) run(points []geom.Vector, k int, o oracle.Oracle, tr *track
 					below += w[ci] / 2
 				}
 			}
-			score := above
-			if below < above {
-				score = below
-			}
-			if score > bestScore {
-				bestRow, bestScore = ri, score
+			if score := min(above, below); score > bestScore {
+				bestRow, bestScore = r, score
 			}
 		}
 		if tr.exhausted() {
@@ -271,30 +227,30 @@ func (a *RobustHDPI) run(points []geom.Vector, k int, o oracle.Oracle, tr *track
 		if bestRow < 0 || bestScore <= geom.TieEps {
 			break // nothing splits the remaining mass
 		}
-		row := gamma[bestRow]
+		row := gamma.rows[bestRow]
 		lastAsked[bestRow] = q
-		h := row.h
 		tr.ask(row.i, row.j)
 		ans := o.Prefer(points[row.i], points[row.j])
-		if !ans {
-			h = h.Flip()
-		}
 		tr.question(row.i, row.j, ans)
-		// Posterior-style reweight: partitions entirely on the
-		// contradicted side decay by Eta (≈ p/(1-p) for assumed error p);
-		// straddling partitions split the difference. A degenerate ClassOn
-		// cell lies in the hyperplane itself, so the answer carries no
-		// evidence against it — it gets the same mild treatment as a
-		// straddler, not the full contradiction penalty. With a truthful
-		// user the true partition is never entirely contradicted, so
-		// repeated questions let it out-weigh every wrong cell.
-		mild := (1 + a.opt.Eta) / 2
-		for ci, part := range C {
-			switch part.poly.ClassifyWith(h, strat, nil) {
-			case polytope.ClassBelow:
-				w[ci] *= a.opt.Eta
+		// Posterior-style reweight: partitions entirely on the side the
+		// answer contradicts (below the row's hyperplane, or above it when
+		// the user prefers the second point) decay by robustEta (≈ p/(1-p)
+		// for assumed error p); straddling partitions split the difference.
+		// A degenerate ClassOn cell lies in the hyperplane itself, so the
+		// answer carries no evidence against it — it gets the same mild
+		// treatment as a straddler, not the full contradiction penalty. With
+		// a truthful user the true partition is never entirely contradicted,
+		// so repeated questions let it out-weigh every wrong cell.
+		contradicted := polytope.ClassBelow
+		if !ans {
+			contradicted = polytope.ClassAbove
+		}
+		for ci, c := range gamma.classes[bestRow] {
+			switch polytope.Class(c) {
+			case contradicted:
+				w[ci] *= robustEta
 			case polytope.ClassIntersect, polytope.ClassOn:
-				w[ci] *= mild
+				w[ci] *= (1 + robustEta) / 2
 			}
 		}
 	}

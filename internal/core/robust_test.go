@@ -1,11 +1,13 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"ist/internal/dataset"
 	"ist/internal/oracle"
+	"ist/internal/polytope"
 	"ist/internal/skyband"
 )
 
@@ -21,7 +23,7 @@ func TestRobustHDPITruthfulUser(t *testing.T) {
 		ds := dataset.AntiCorrelated(rng, n, d)
 		band := skyband.Filter(ds.Points, skyband.KSkyband(ds.Points, k))
 		u := oracle.RandomUtility(rng, d)
-		alg := NewRobustHDPI(RobustHDPIOptions{Mode: ConvexExact, Rng: rand.New(rand.NewSource(int64(trial)))})
+		alg := NewRobustHDPI(HDPIOptions{Mode: ConvexExact, Rng: rand.New(rand.NewSource(int64(trial)))})
 		got := alg.Run(band, k, oracle.NewUser(u))
 		total++
 		if oracle.IsTopK(band, u, k, band[got]) {
@@ -49,7 +51,7 @@ func TestRobustHDPIBeatsPlainUnderNoise(t *testing.T) {
 		seed := int64(trial)
 
 		noisy1 := oracle.NewNoisyUser(u, 0.25, rand.New(rand.NewSource(seed)))
-		r := NewRobustHDPI(RobustHDPIOptions{Mode: ConvexExact, Rng: rand.New(rand.NewSource(seed))})
+		r := NewRobustHDPI(HDPIOptions{Mode: ConvexExact, Rng: rand.New(rand.NewSource(seed))})
 		if oracle.IsTopK(band, u, k, band[r.Run(band, k, noisy1)]) {
 			robustOK++
 		}
@@ -66,19 +68,60 @@ func TestRobustHDPIBeatsPlainUnderNoise(t *testing.T) {
 	}
 }
 
+// TestRobustHDPIQuestionBudget: a Budget caps a noisy dialogue, and without
+// one the algorithm's own cap of 16 + 4·⌈log₂|C|⌉ questions holds.
 func TestRobustHDPIQuestionBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ds := dataset.AntiCorrelated(rng, 150, 3)
 	k := 5
 	band := skyband.Filter(ds.Points, skyband.KSkyband(ds.Points, k))
 	u := oracle.RandomUtility(rng, 3)
-	alg := NewRobustHDPI(RobustHDPIOptions{
-		Mode: ConvexExact, MaxQuestions: 7, Rng: rand.New(rand.NewSource(1)),
-	})
+	newAlg := func() *RobustHDPI {
+		return NewRobustHDPI(HDPIOptions{Mode: ConvexExact, Rng: rand.New(rand.NewSource(1))})
+	}
+
 	user := oracle.NewNoisyUser(u, 0.3, rng)
-	alg.Run(band, k, user)
+	_, cert := newAlg().RunBudgeted(band, k, user, Budget{MaxQuestions: 7})
 	if user.Questions() > 7 {
 		t.Fatalf("asked %d questions, budget 7", user.Questions())
+	}
+	if cert.Reason != StopQuestions || cert.Certified {
+		t.Fatalf("budgeted run ended %s (certified %v), want an uncertified %s", cert.Reason, cert.Certified, StopQuestions)
+	}
+
+	C := buildPartitions(band, convexPoints(band, HDPIOptions{Mode: ConvexExact}, nil), polytope.NewSimplex(3), nil)
+	limit := 16 + 4*int(math.Ceil(math.Log2(float64(len(C)))))
+	user = oracle.NewNoisyUser(u, 0.3, rng)
+	newAlg().Run(band, k, user)
+	if user.Questions() > limit {
+		t.Fatalf("asked %d questions over %d cells, cap %d", user.Questions(), len(C), limit)
+	}
+}
+
+// TestRobustHDPIClassifiesGammaOnce: the partitions are never cut, so every
+// Γ row is classified against every partition once, at set-up, however many
+// questions the dialogue asks.
+func TestRobustHDPIClassifiesGammaOnce(t *testing.T) {
+	ds := dataset.AntiCorrelated(rand.New(rand.NewSource(5)), 300, 3)
+	k := 5
+	band := skyband.Filter(ds.Points, skyband.KSkyband(ds.Points, k))
+	V := convexPoints(band, HDPIOptions{Mode: ConvexExact}, nil)
+	C := buildPartitions(band, V, polytope.NewSimplex(3), nil)
+	want := len(buildGamma(band, V)) * len(C)
+	asked := map[int]bool{}
+	for seed := int64(1); seed <= 4; seed++ {
+		var stats polytope.BoundStats
+		alg := NewRobustHDPI(HDPIOptions{Mode: ConvexExact, Stats: &stats, Rng: rand.New(rand.NewSource(seed))})
+		u := oracle.RandomUtility(rand.New(rand.NewSource(seed)), 3)
+		user := oracle.NewNoisyUser(u, 0.2, rand.New(rand.NewSource(seed)))
+		alg.Run(band, k, user)
+		if stats.Identifications != want {
+			t.Errorf("seed %d: %d classifications over %d questions, want |Γ|·|C| = %d", seed, stats.Identifications, user.Questions(), want)
+		}
+		asked[user.Questions()] = true
+	}
+	if len(asked) < 2 {
+		t.Fatalf("every dialogue asked the same number of questions %v; the test proves nothing", asked)
 	}
 }
 

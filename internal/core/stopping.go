@@ -137,14 +137,3 @@ func grow[T any](buf []T, n int) []T {
 	}
 	return buf[:n]
 }
-
-// argmaxAt returns the index of the highest-utility point w.r.t. u.
-func argmaxAt(points []geom.Vector, u geom.Vector) int {
-	best, bestVal := 0, u.Dot(points[0])
-	for i := 1; i < len(points); i++ {
-		if v := u.Dot(points[i]); v > bestVal {
-			best, bestVal = i, v
-		}
-	}
-	return best
-}

@@ -39,7 +39,7 @@ func ExtNoise(cfg Config) *Table {
 			return alg.Run(band, k, oracle.NewMajorityOracle(o, 3))
 		}},
 		{"Robust-HD-PI", func(seed int64, o oracle.Oracle) int {
-			alg := core.NewRobustHDPI(core.RobustHDPIOptions{Mode: core.ConvexSampling, Rng: rand.New(rand.NewSource(seed))})
+			alg := core.NewRobustHDPI(core.HDPIOptions{Mode: core.ConvexSampling, Rng: rand.New(rand.NewSource(seed))})
 			return alg.Run(band, k, o)
 		}},
 		{"RH", func(seed int64, o oracle.Oracle) int {

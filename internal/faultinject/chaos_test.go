@@ -61,7 +61,7 @@ var chaosAlgorithms = []struct {
 		return core.NewHDPI(core.HDPIOptions{Mode: core.ConvexExact, Rng: rand.New(rand.NewSource(s))})
 	}},
 	{"robust", 3, func(s int64) core.Algorithm {
-		return core.NewRobustHDPI(core.RobustHDPIOptions{Rng: rand.New(rand.NewSource(s))})
+		return core.NewRobustHDPI(core.HDPIOptions{Rng: rand.New(rand.NewSource(s))})
 	}},
 }
 

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"testing"
 
+	"ist/internal/core"
 	"ist/internal/faultinject"
 )
 
@@ -19,7 +20,11 @@ import (
 // A change to a stopping rule, a ranking helper or the polytope code that
 // alters a single question or result, even one the other tests would
 // accept as correct, moves the digest. Budgeted cases also hash their
-// certificates, so the best-effort and panic-recovery exits are pinned too.
+// certificates, so the best-effort and panic-recovery exits are pinned too:
+// a six- or 24-question budget, a flipped first answer, and an oracle that
+// panics at its fifth question. Persisted sessions are rebuilt by replaying
+// their answer logs, so an unchanged question sequence is a recovery
+// contract as well as a test.
 
 // digestOracle answers as a truthful user and feeds each question and
 // answer into a running hash.
@@ -148,6 +153,11 @@ func TestPinnedDialogueDigests(t *testing.T) {
 			return idx, &cert
 		}
 	}
+	// robustAccurate is RobustHDPI on exact convex points, which the
+	// facade does not export.
+	robustAccurate := func(seed int64) Algorithm {
+		return core.NewRobustHDPI(core.HDPIOptions{Mode: core.ConvexExact, Rng: rand.New(rand.NewSource(seed))})
+	}
 	six := Budget{MaxQuestions: 6}
 	roomy := Budget{MaxQuestions: 64}
 	allTopK := Budget{MaxQuestions: 24}
@@ -172,6 +182,10 @@ func TestPinnedDialogueDigests(t *testing.T) {
 		{"HD-PI-AllTopK", multi(NewHDPIMulti, pinnedK), "53323555035b14fb41e321d7498a3ca0bc7348bb349ac807570ae2d475825e53"},
 		{"HD-PI-AllTopK/max-24", budgetedMulti(NewHDPIMulti, pinnedK, allTopK, nil), "bbf97912c86bd817be51021897263b121a63e40543ad5395d83e8d580a14e2d5"},
 		{"HD-PI-SomeTopK/panic-5", budgetedMulti(NewHDPIMulti, pinnedWant, roomy, panicAtFifth), "aa3647646c4d89d8716cf318867cdfaf3898b967337de00fdedab26abcfbd28c"},
+		{"RobustHDPI/max-6", budgeted(NewRobustHDPI, six, nil), "5378c39d46f8ce5ecd75cbfacc780dd69aa9caf31a5cac8697d521362439ac04"},
+		{"RobustHDPI/flip-1", budgeted(NewRobustHDPI, roomy, flipFirst), "b469890592e03ed9bdcf7ef1590717ada2f2c25b9ca108bae23b85b5237cddca"},
+		{"RobustHDPI/panic-5", budgeted(NewRobustHDPI, roomy, panicAtFifth), "2ab67289a8efd6a721b2148d5bcde3496020b96752a8c0ce3e366bbf81a14871"},
+		{"RobustHDPI-accurate/max-6", budgeted(robustAccurate, six, nil), "8b2ffb1c736edc6fac541aaaf66116a40a3fe4e3a8e834096f1d80c5849489c5"},
 	}
 	for _, c := range cases {
 		if got := pinnedDigest(band, c.run); got != c.want {
