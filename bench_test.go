@@ -81,7 +81,10 @@ func smallerCfg() experiments.Config {
 
 // BenchmarkAlgorithms measures a single end-to-end solve per algorithm on a
 // fixed preprocessed workload — the per-question processing cost that
-// Figures 8-13 plot as "execution time".
+// Figures 8-13 plot as "execution time". Iteration i seeds its algorithm
+// with i mod algorithmSeeds, and questions/user is the mean over all
+// algorithmSeeds seeds, so every b.N reports the same value from the same
+// code.
 func BenchmarkAlgorithms(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	ds := AntiCorrelated(rng, 2000, 4)
@@ -95,6 +98,7 @@ func BenchmarkAlgorithms(b *testing.B) {
 	}{
 		{"RH", func(s int64) Algorithm { return NewRH(s) }},
 		{"HD-PI-sampling", func(s int64) Algorithm { return NewHDPI(s) }},
+		{"HD-PI-accurate", func(s int64) Algorithm { return NewHDPIAccurate(s) }},
 		{"Robust-HD-PI", func(s int64) Algorithm { return NewRobustHDPI(s) }},
 		{"UH-Random", func(s int64) Algorithm { return NewUHRandom(eps, s) }},
 		{"UH-Simplex", func(s int64) Algorithm { return NewUHSimplex(eps, s) }},
@@ -102,16 +106,31 @@ func BenchmarkAlgorithms(b *testing.B) {
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			totalQ := 0
-			for i := 0; i < b.N; i++ {
+			solve := func(seed int) int {
 				user := NewUser(u)
-				c.mk(int64(i)).Run(band, k, user)
-				totalQ += user.Questions()
+				c.mk(int64(seed)).Run(band, k, user)
+				return user.Questions()
 			}
-			b.ReportMetric(float64(totalQ)/float64(b.N), "questions/user")
+			var questions [algorithmSeeds]int
+			for i := 0; i < b.N; i++ {
+				questions[i%algorithmSeeds] = solve(i % algorithmSeeds)
+			}
+			// Seeds a short run did not reach are solved untimed.
+			b.StopTimer()
+			for seed := b.N; seed < algorithmSeeds; seed++ {
+				questions[seed] = solve(seed)
+			}
+			total := 0
+			for _, q := range questions {
+				total += q
+			}
+			b.ReportMetric(float64(total)/algorithmSeeds, "questions/user")
 		})
 	}
 }
+
+// algorithmSeeds is the number of seeds BenchmarkAlgorithms cycles through.
+const algorithmSeeds = 32
 
 // BenchmarkPolytopeCutStrategies compares the bounding shortcuts on the
 // classification-heavy inner loop of HD-PI (ablation #1/#4).

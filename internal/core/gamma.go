@@ -43,29 +43,41 @@ func buildGamma(points []geom.Vector, V []int) []gammaRow {
 }
 
 // newGammaTable classifies every row against every partition once and drops
-// rows that cannot split R.
+// rows that cannot split R. It goes cell by cell, each cell classifying all
+// rows in one ClassifyEach call, and keeps the classes of all rows in one
+// block; a row's classes are its slice of the block.
 func newGammaTable(points []geom.Vector, V []int, C []partition, opt HDPIOptions) *gammaTable {
-	g := &gammaTable{opt: opt}
-	for _, row := range buildGamma(points, V) {
-		cls := make([]int8, len(C))
-		na, nb, ni := 0, 0, 0
-		for ci, part := range C {
-			c := part.poly.ClassifyWith(row.h, opt.Strategy, opt.Stats)
-			cls[ci] = int8(c)
+	rows := buildGamma(points, V)
+	hs := make([]geom.Hyperplane, len(rows))
+	for r, row := range rows {
+		hs[r] = row.h
+	}
+	nc := len(C)
+	block := make([]int8, len(rows)*nc)
+	nAbove, nBelow, nInt := make([]int, len(rows)), make([]int, len(rows)), make([]int, len(rows))
+	out := make([]polytope.Class, len(rows))
+	for ci, part := range C {
+		part.poly.ClassifyEach(hs, opt.Strategy, opt.Stats, out)
+		for r, c := range out {
+			block[r*nc+ci] = int8(c)
 			switch c {
 			case polytope.ClassAbove:
-				na++
+				nAbove[r]++
 			case polytope.ClassBelow:
-				nb++
+				nBelow[r]++
 			case polytope.ClassIntersect:
-				ni++
+				nInt[r]++
 			}
 		}
+	}
+	g := &gammaTable{opt: opt, rows: rows[:0], nAbove: nAbove[:0], nBelow: nBelow[:0], nInt: nInt[:0]}
+	for r, row := range rows {
+		na, nb, ni := nAbove[r], nBelow[r], nInt[r]
 		if ni == 0 && (na == 0 || nb == 0) {
 			continue // preference already implied over R
 		}
 		g.rows = append(g.rows, row)
-		g.classes = append(g.classes, cls)
+		g.classes = append(g.classes, block[r*nc:(r+1)*nc:(r+1)*nc])
 		g.nAbove = append(g.nAbove, na)
 		g.nBelow = append(g.nBelow, nb)
 		g.nInt = append(g.nInt, ni)

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -10,6 +12,7 @@ import (
 	"ist/internal/hull"
 	"ist/internal/oracle"
 	"ist/internal/polytope"
+	"ist/internal/skyband"
 )
 
 // rebuildCounts recomputes a row's (N+, N−, N_int) from scratch.
@@ -133,4 +136,174 @@ func TestQuickGammaApplySoundness(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// newGammaTableRef is newGammaTable as it stood before it went cell by
+// cell: one row at a time against every partition, each row's classes in a
+// slice of their own. newGammaTable must build the same table.
+func newGammaTableRef(points []geom.Vector, V []int, C []partition, opt HDPIOptions) *gammaTable {
+	g := &gammaTable{opt: opt}
+	for _, row := range buildGamma(points, V) {
+		cls := make([]int8, len(C))
+		na, nb, ni := 0, 0, 0
+		for ci, part := range C {
+			c := part.poly.ClassifyWith(row.h, opt.Strategy, opt.Stats)
+			cls[ci] = int8(c)
+			switch c {
+			case polytope.ClassAbove:
+				na++
+			case polytope.ClassBelow:
+				nb++
+			case polytope.ClassIntersect:
+				ni++
+			}
+		}
+		if ni == 0 && (na == 0 || nb == 0) {
+			continue // preference already implied over R
+		}
+		g.rows = append(g.rows, row)
+		g.classes = append(g.classes, cls)
+		g.nAbove = append(g.nAbove, na)
+		g.nBelow = append(g.nBelow, nb)
+		g.nInt = append(g.nInt, ni)
+	}
+	return g
+}
+
+// sameGamma fails the test unless two tables hold the same rows, classes
+// and counts.
+func sameGamma(t *testing.T, what string, got, want *gammaTable) {
+	t.Helper()
+	if len(got.rows) != len(want.rows) {
+		t.Fatalf("%s: %d rows, reference %d", what, len(got.rows), len(want.rows))
+	}
+	for r := range got.rows {
+		a, b := got.rows[r], want.rows[r]
+		if a.i != b.i || a.j != b.j || !slices.Equal(a.h.Normal, b.h.Normal) {
+			t.Fatalf("%s: row %d is (%d,%d), reference (%d,%d)", what, r, a.i, a.j, b.i, b.j)
+		}
+		if !slices.Equal(got.classes[r], want.classes[r]) {
+			t.Fatalf("%s: row %d classes %v, reference %v", what, r, got.classes[r], want.classes[r])
+		}
+		if got.nAbove[r] != want.nAbove[r] || got.nBelow[r] != want.nBelow[r] || got.nInt[r] != want.nInt[r] {
+			t.Fatalf("%s: row %d counts (%d,%d,%d), reference (%d,%d,%d)", what, r,
+				got.nAbove[r], got.nBelow[r], got.nInt[r], want.nAbove[r], want.nBelow[r], want.nInt[r])
+		}
+	}
+}
+
+// carSliceCatalog is the catalog embed-slices draws its slices from: the
+// 68,010-tuple Car-like catalog of seed 1.
+func carSliceCatalog(tb testing.TB) []geom.Vector {
+	tb.Helper()
+	ds, err := dataset.ByName("car", rand.New(rand.NewSource(1)), 68010, 4)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ds.Points
+}
+
+// carSlice is an embed-slices-shaped band: the k = 10 skyband of a uniform
+// 1,000-tuple slice of the catalog drawn by rng. The first slice of a seed-1
+// rng is BenchmarkConvexPointsExactCarSlice's band.
+func carSlice(catalog []geom.Vector, rng *rand.Rand) []geom.Vector {
+	slice := make([]geom.Vector, 0, 1000)
+	for _, i := range rng.Perm(len(catalog))[:1000] {
+		slice = append(slice, catalog[i])
+	}
+	return skyband.Filter(slice, skyband.KSkyband(slice, 10))
+}
+
+// TestGammaTableMatchesReference holds newGammaTable to the per-row
+// reference, under every bounding strategy, on embed-slices-shaped bands
+// and small anti-correlated ones with an emptied cell among the
+// partitions, then through three answers of apply on both tables.
+func TestGammaTableMatchesReference(t *testing.T) {
+	type input struct {
+		pts []geom.Vector
+		V   []int
+	}
+	var inputs []input
+	catalog := carSliceCatalog(t)
+	rng := rand.New(rand.NewSource(1))
+	for len(inputs) < 4 {
+		pts := carSlice(catalog, rng)
+		V, err := hull.ConvexPointsExact(pts, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, input{pts, V})
+	}
+	for d := 2; d <= 5; d++ {
+		pts := dataset.AntiCorrelated(rng, 80, d).Points
+		inputs = append(inputs, input{pts, hull.ConvexPointsSampling(pts, 150, rng)})
+	}
+	strategies := []polytope.Strategy{polytope.StrategyBall, polytope.StrategyRect, polytope.StrategyRectFast, polytope.StrategyNone}
+	for n, in := range inputs {
+		d := len(in.pts[0])
+		u := oracle.RandomUtility(rng, d)
+		for _, strat := range strategies {
+			cells := func() []partition {
+				C := buildPartitions(in.pts, in.V, polytope.NewSimplex(d), nil)
+				empty := polytope.NewSimplex(d)
+				empty.Cut(geom.Hyperplane{Normal: uniformUtility(d).Scale(-1)})
+				return append(C, partition{poly: empty, point: -1})
+			}
+			Cg, Cw := cells(), cells()
+			var sg, sw polytope.BoundStats
+			opt := NewHDPI(HDPIOptions{Strategy: strat}).opt
+			opt.Stats = &sg
+			got := newGammaTable(in.pts, in.V, Cg, opt)
+			opt.Stats = &sw
+			want := newGammaTableRef(in.pts, in.V, Cw, opt)
+			what := fmt.Sprintf("input %d, %v", n, strat)
+			sameGamma(t, what, got, want)
+			if sg != sw || sg.Identifications == 0 {
+				t.Fatalf("%s: stats %+v, reference %+v", what, sg, sw)
+			}
+			for round := 0; round < 3 && len(Cg) > 1; round++ {
+				best := got.best()
+				if best != want.best() {
+					t.Fatalf("%s: best row %d, reference %d", what, best, want.best())
+				}
+				if best < 0 {
+					break
+				}
+				h := got.rows[best].h
+				if u.Dot(in.pts[got.rows[best].i]) < u.Dot(in.pts[got.rows[best].j]) {
+					h = h.Flip()
+				}
+				Cg, Cw = got.apply(h, Cg, best), want.apply(h, Cw, best)
+				sameGamma(t, what+" after apply", got, want)
+			}
+			if sg != sw {
+				t.Fatalf("%s: stats after apply %+v, reference %+v", what, sg, sw)
+			}
+		}
+	}
+}
+
+// BenchmarkHDPISetup times HD-PI's set-up after the convex-point scan on
+// BenchmarkConvexPointsExactCarSlice's band: cutting the cells out of the
+// simplex (partitions) and classifying Γ against them (gamma).
+func BenchmarkHDPISetup(b *testing.B) {
+	pts := carSlice(carSliceCatalog(b), rand.New(rand.NewSource(1)))
+	V, err := hull.ConvexPointsExact(pts, nil, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := NewHDPI(HDPIOptions{Mode: ConvexExact}).opt
+	b.Run("partitions", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			buildPartitions(pts, V, polytope.NewSimplex(4), nil)
+		}
+	})
+	b.Run("gamma", func(b *testing.B) {
+		C := buildPartitions(pts, V, polytope.NewSimplex(4), nil)
+		b.ReportAllocs()
+		for b.Loop() {
+			newGammaTable(pts, V, C, opt)
+		}
+	})
 }

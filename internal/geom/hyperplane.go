@@ -30,13 +30,19 @@ func (s Side) String() string {
 // points p_i and p_j, h_{i,j} has normal p_i − p_j, its positive halfspace
 // h⁺_{i,j} holds the utility vectors preferring p_i, and the negative
 // halfspace h⁻_{i,j} those preferring p_j.
+//
+// NewHyperplane and Flip carry ‖Normal‖ along, so a distance costs one dot
+// product; a literal Hyperplane{Normal: n} computes the norm on use, to the
+// same value. Normal must not be modified after construction.
 type Hyperplane struct {
 	Normal Vector
+	norm   float64 // ‖Normal‖, or 0 when not yet known
 }
 
 // NewHyperplane builds the preference hyperplane h_{i,j} with normal pi − pj.
 func NewHyperplane(pi, pj Vector) Hyperplane {
-	return Hyperplane{Normal: pi.Sub(pj)}
+	n := pi.Sub(pj)
+	return Hyperplane{Normal: n, norm: n.Norm()}
 }
 
 // Degenerate reports whether the hyperplane's normal is (numerically) zero,
@@ -64,15 +70,28 @@ func (h Hyperplane) SideOf(x Vector) Side {
 // |Normal·x| / ‖Normal‖. A degenerate hyperplane is at distance 0 from
 // everything.
 func (h Hyperplane) Distance(x Vector) float64 {
-	n := h.Normal.Norm()
-	if n <= Eps {
-		return 0
-	}
-	return math.Abs(h.Value(x)) / n
+	_, dist := h.ValueDistance(x)
+	return dist
 }
 
-// Flip returns the hyperplane with the opposite orientation (h_{j,i}).
-func (h Hyperplane) Flip() Hyperplane { return Hyperplane{Normal: h.Normal.Scale(-1)} }
+// ValueDistance returns both Value(x) and Distance(x) from one dot product.
+func (h Hyperplane) ValueDistance(x Vector) (value, dist float64) {
+	value = h.Value(x)
+	n := h.norm
+	if n == 0 {
+		n = h.Normal.Norm()
+	}
+	if n <= Eps {
+		return value, 0
+	}
+	return value, math.Abs(value) / n
+}
+
+// Flip returns the hyperplane with the opposite orientation (h_{j,i}). The
+// negated normal has the same norm, bit for bit.
+func (h Hyperplane) Flip() Hyperplane {
+	return Hyperplane{Normal: h.Normal.Scale(-1), norm: h.norm}
+}
 
 // CrossingParam returns t in [0,1] such that a + t(b−a) lies on the
 // hyperplane, and whether such a crossing exists with a and b strictly on
@@ -97,11 +116,16 @@ func (h Hyperplane) CrossingParam(a, b Vector) (float64, bool) {
 }
 
 // Crossing returns the point where segment [a,b] crosses the hyperplane, and
-// whether a strict crossing exists.
+// whether a strict crossing exists. The point is a + t·(b − a), rounded as
+// a.AddScaled(t, b.Sub(a)) rounds it, in one allocation.
 func (h Hyperplane) Crossing(a, b Vector) (Vector, bool) {
 	t, ok := h.CrossingParam(a, b)
 	if !ok {
 		return nil, false
 	}
-	return a.AddScaled(t, b.Sub(a)), true
+	x := make(Vector, len(a))
+	for i, ai := range a {
+		x[i] = ai + t*(b[i]-ai)
+	}
+	return x, true
 }

@@ -48,6 +48,18 @@ func TestDistance(t *testing.T) {
 	if got, want := h.Distance(Vector{1, 0}), 1/math.Sqrt2; !almostEq(got, want) {
 		t.Fatalf("Distance = %v, want %v", got, want)
 	}
+	// NewHyperplane and Flip carry the norm and a literal computes it; the
+	// distance is |Normal·x| / ‖Normal‖ to the bit either way.
+	x := Vector{0.3, 0.7}
+	built := NewHyperplane(Vector{0.9, 0.2}, Vector{0.1, 0.6})
+	lit := Hyperplane{Normal: built.Normal.Clone()}
+	for _, h := range []Hyperplane{built, built.Flip(), lit, lit.Flip()} {
+		want := math.Abs(h.Normal.Dot(x)) / h.Normal.Norm()
+		v, d := h.ValueDistance(x)
+		if v != h.Normal.Dot(x) || math.Float64bits(d) != math.Float64bits(want) || h.Distance(x) != d {
+			t.Fatalf("%v: ValueDistance = (%v, %v), want (%v, %v)", h.Normal, v, d, h.Normal.Dot(x), want)
+		}
+	}
 }
 
 func TestCrossing(t *testing.T) {

@@ -66,11 +66,20 @@ func (m *Matrix) MulVec(x Vector) Vector {
 // Rank returns the numerical rank of m under the tolerance tol (entries with
 // magnitude <= tol after elimination count as zero). Pass tol <= 0 for a
 // default scaled from the matrix magnitude.
-func (m *Matrix) Rank(tol float64) int {
-	a := m.Clone()
+func (m *Matrix) Rank(tol float64) int { return m.Clone().Eliminate(tol) }
+
+// Eliminate is Rank without the copy: it reduces m in place by Gaussian
+// elimination with partial pivoting and returns its numerical rank, under
+// the same tolerance rule, leaving m's entries as scratch. A caller that
+// stages rows in its own buffer gets the rank without allocating.
+//
+// Rows already used as pivots are never read again, so only the rows below
+// each pivot are reduced; the pivots, and so the rank, are those that
+// reducing every row (Gauss-Jordan) would pick.
+func (m *Matrix) Eliminate(tol float64) int {
 	if tol <= 0 {
 		maxAbs := 0.0
-		for _, v := range a.Data {
+		for _, v := range m.Data {
 			if av := absFloat(v); av > maxAbs {
 				maxAbs = av
 			}
@@ -78,29 +87,28 @@ func (m *Matrix) Rank(tol float64) int {
 		tol = 1e-10 * (1 + maxAbs)
 	}
 	rank := 0
-	for col := 0; col < a.Cols && rank < a.Rows; col++ {
+	for col := 0; col < m.Cols && rank < m.Rows; col++ {
 		// Partial pivoting within the column.
 		pivot, pivotVal := -1, tol
-		for r := rank; r < a.Rows; r++ {
-			if av := absFloat(a.At(r, col)); av > pivotVal {
+		for r := rank; r < m.Rows; r++ {
+			if av := absFloat(m.At(r, col)); av > pivotVal {
 				pivot, pivotVal = r, av
 			}
 		}
 		if pivot < 0 {
 			continue
 		}
-		a.swapRows(rank, pivot)
-		pv := a.At(rank, col)
-		for r := 0; r < a.Rows; r++ {
-			if r == rank {
-				continue
-			}
-			f := a.At(r, col) / pv
+		m.swapRows(rank, pivot)
+		pr := m.Row(rank)
+		pv := pr[col]
+		for r := rank + 1; r < m.Rows; r++ {
+			row := m.Row(r)
+			f := row[col] / pv
 			if f == 0 {
 				continue
 			}
-			for c := col; c < a.Cols; c++ {
-				a.Set(r, c, a.At(r, c)-f*a.At(rank, c))
+			for c := col; c < len(row); c++ {
+				row[c] = row[c] - f*pr[c]
 			}
 		}
 		rank++

@@ -145,3 +145,81 @@ func TestQuickRankInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// rankRef is Matrix.Rank as it stood before Eliminate: Gauss-Jordan
+// elimination that reduces every row, above the pivot as well as below.
+// Rank must pick the same pivots and so return the same rank.
+func rankRef(m *Matrix, tol float64) int {
+	a := m.Clone()
+	if tol <= 0 {
+		maxAbs := 0.0
+		for _, v := range a.Data {
+			if av := absFloat(v); av > maxAbs {
+				maxAbs = av
+			}
+		}
+		tol = 1e-10 * (1 + maxAbs)
+	}
+	rank := 0
+	for col := 0; col < a.Cols && rank < a.Rows; col++ {
+		pivot, pivotVal := -1, tol
+		for r := rank; r < a.Rows; r++ {
+			if av := absFloat(a.At(r, col)); av > pivotVal {
+				pivot, pivotVal = r, av
+			}
+		}
+		if pivot < 0 {
+			continue
+		}
+		a.swapRows(rank, pivot)
+		pv := a.At(rank, col)
+		for r := 0; r < a.Rows; r++ {
+			if r == rank {
+				continue
+			}
+			f := a.At(r, col) / pv
+			if f == 0 {
+				continue
+			}
+			for c := col; c < a.Cols; c++ {
+				a.Set(r, c, a.At(r, c)-f*a.At(rank, c))
+			}
+		}
+		rank++
+	}
+	return rank
+}
+
+// TestRankMatchesReference compares Rank with the Gauss-Jordan reference on
+// random matrices: full-rank ones, rank-deficient ones whose extra rows are
+// combinations of the others, and ones perturbed near the tolerance, with
+// the default and explicit tolerances.
+func TestRankMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for n := 0; n < 3000; n++ {
+		rows, cols := 1+rng.Intn(8), 1+rng.Intn(6)
+		m := NewMatrix(rows, cols)
+		for i := range m.Data {
+			m.Data[i] = rng.Float64()*2 - 1
+		}
+		if n%3 == 1 && rows > 1 {
+			// Rows past the first two are combinations of them.
+			for r := 2; r < rows; r++ {
+				a, b := rng.Float64(), rng.Float64()
+				for c := 0; c < cols; c++ {
+					m.Set(r, c, a*m.At(0, c)+b*m.At(1%rows, c))
+				}
+			}
+		}
+		if n%3 == 2 {
+			for i := range m.Data {
+				m.Data[i] = float64(rng.Intn(3)-1) + float64(rng.Intn(3)-1)*1e-10
+			}
+		}
+		for _, tol := range []float64{0, 1e-9, 0.5} {
+			if got, want := m.Rank(tol), rankRef(m, tol); got != want {
+				t.Fatalf("matrix %v (%dx%d), tol %g: Rank = %d, reference %d", m.Data, rows, cols, tol, got, want)
+			}
+		}
+	}
+}

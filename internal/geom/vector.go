@@ -36,13 +36,21 @@ func (v Vector) Dim() int { return len(v) }
 // mixing dimensionalities is always a programming error in this codebase.
 func (v Vector) Dot(w Vector) float64 {
 	if len(v) != len(w) {
-		panic(fmt.Sprintf("geom: dot of mismatched dimensions %d and %d", len(v), len(w)))
+		panic(dimMismatch{len(v), len(w)})
 	}
 	var s float64
 	for i, x := range v {
 		s += x * w[i]
 	}
 	return s
+}
+
+// dimMismatch is Dot's panic value. Its message is built only when printed,
+// which keeps Dot small enough to inline.
+type dimMismatch struct{ n, m int }
+
+func (e dimMismatch) Error() string {
+	return fmt.Sprintf("geom: dot of mismatched dimensions %d and %d", e.n, e.m)
 }
 
 // Add returns v + w as a new vector.
@@ -100,8 +108,16 @@ func (v Vector) Normalize() Vector {
 	return v.Scale(1 / n)
 }
 
-// Dist returns the Euclidean distance between v and w.
-func (v Vector) Dist(w Vector) float64 { return v.Sub(w).Norm() }
+// Dist returns the Euclidean distance between v and w: v.Sub(w).Norm()
+// without the intermediate vector.
+func (v Vector) Dist(w Vector) float64 {
+	var s float64
+	for i, x := range v {
+		d := x - w[i]
+		s += d * d
+	}
+	return math.Sqrt(s)
+}
 
 // Sum returns the sum of the components of v.
 func (v Vector) Sum() float64 {

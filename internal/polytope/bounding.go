@@ -78,17 +78,18 @@ func (p *Polytope) rect() (geom.Vector, geom.Vector) {
 // BallSide tests the bounding ball against the hyperplane: it returns
 // ClassAbove or ClassBelow when the whole ball is strictly on one side, and
 // ClassIntersect when the ball straddles it (inconclusive about the
-// polytope). Empty polytopes report ClassEmpty.
+// polytope). Empty polytopes report ClassEmpty. One dot product, h·B_c,
+// gives both the distance and the side.
 func (p *Polytope) BallSide(h geom.Hyperplane) Class {
 	if len(p.verts) == 0 {
 		return ClassEmpty
 	}
 	c, r := p.ball()
-	d := h.Distance(c)
-	if d <= r {
+	v, dist := h.ValueDistance(c)
+	if dist <= r {
 		return ClassIntersect
 	}
-	if h.SideOf(c) == geom.Above {
+	if v > geom.Eps {
 		return ClassAbove
 	}
 	return ClassBelow
@@ -183,31 +184,51 @@ func (s BoundStats) EffectiveRatio() float64 {
 // strategy first and the exact vertex scan as fallback, updating stats (which
 // may be nil).
 func (p *Polytope) ClassifyWith(h geom.Hyperplane, strat Strategy, stats *BoundStats) Class {
+	c, byBound := p.classify(h, strat)
 	if stats != nil {
 		stats.Identifications++
+		if byBound {
+			stats.ByBound++
+		}
 	}
+	return c
+}
+
+// ClassifyEach classifies the polytope against every hyperplane of hs as
+// ClassifyWith does, writing hs[i]'s class to out[i] and counting every
+// classification in stats (which may be nil). One call per polytope keeps
+// its vertices and bounding volume at hand across many hyperplanes.
+func (p *Polytope) ClassifyEach(hs []geom.Hyperplane, strat Strategy, stats *BoundStats, out []Class) {
+	nBound := 0
+	for i, h := range hs {
+		c, byBound := p.classify(h, strat)
+		if byBound {
+			nBound++
+		}
+		out[i] = c
+	}
+	if stats != nil {
+		stats.Identifications += len(hs)
+		stats.ByBound += nBound
+	}
+}
+
+// classify is the decision ClassifyWith and ClassifyEach share: strat's
+// bounding test, which decides Above, Below or Empty (byBound), else the
+// exact vertex scan. Intersect from a bound is inconclusive, and
+// StrategyNone has no bound.
+func (p *Polytope) classify(h geom.Hyperplane, strat Strategy) (c Class, byBound bool) {
+	c = ClassIntersect
 	switch strat {
 	case StrategyBall:
-		if c := p.BallSide(h); c == ClassAbove || c == ClassBelow || c == ClassEmpty {
-			if stats != nil {
-				stats.ByBound++
-			}
-			return c
-		}
+		c = p.BallSide(h)
 	case StrategyRect:
-		if c := p.RectSide(h); c == ClassAbove || c == ClassBelow || c == ClassEmpty {
-			if stats != nil {
-				stats.ByBound++
-			}
-			return c
-		}
+		c = p.RectSide(h)
 	case StrategyRectFast:
-		if c := p.RectSideFast(h); c == ClassAbove || c == ClassBelow || c == ClassEmpty {
-			if stats != nil {
-				stats.ByBound++
-			}
-			return c
-		}
+		c = p.RectSideFast(h)
 	}
-	return p.Classify(h)
+	if c != ClassIntersect {
+		return c, true
+	}
+	return p.Classify(h), false
 }

@@ -10,7 +10,9 @@ import (
 
 // FuzzCutSequence applies arbitrary byte-derived cut sequences to a simplex
 // and cross-checks the vertex representation against LP feasibility, plus
-// the basic vertex invariants (on-simplex, satisfy all constraints).
+// the basic vertex invariants (on-simplex, satisfy all constraints). A
+// second simplex takes the same cuts through cutRef, and after every cut
+// the two must agree bit for bit.
 func FuzzCutSequence(f *testing.F) {
 	f.Add([]byte{3, 100, 20, 200, 90, 10}, uint8(3))
 	f.Add([]byte{0, 0, 255, 255}, uint8(2))
@@ -20,7 +22,7 @@ func FuzzCutSequence(f *testing.F) {
 		if len(data) < d || len(data) > 10*d {
 			return
 		}
-		p := NewSimplex(d)
+		p, ref := NewSimplex(d), NewSimplex(d)
 		var hs [][]float64
 		for off := 0; off+d <= len(data); off += d {
 			n := geom.NewVector(d)
@@ -35,7 +37,7 @@ func FuzzCutSequence(f *testing.F) {
 				continue
 			}
 			hs = append(hs, n)
-			p.Cut(geom.Hyperplane{Normal: n})
+			cutBoth(t, "fuzzed cut", p, ref, geom.Hyperplane{Normal: n})
 		}
 		for _, v := range p.Vertices() {
 			if math.Abs(v.Sum()-1) > 1e-7 {

@@ -69,6 +69,9 @@ type Polytope struct {
 	verts []Vertex
 	cons  []geom.Hyperplane
 
+	// side is Cut's scratch: each vertex's side of the hyperplane being cut.
+	side []geom.Side
+
 	// cached bounding volumes; invalidated on every cut.
 	ballValid bool
 	ballC     geom.Vector
@@ -149,8 +152,8 @@ func (p *Polytope) Classify(h geom.Hyperplane) Class {
 		return ClassEmpty
 	}
 	hasAbove, hasBelow := false, false
-	for _, v := range p.verts {
-		switch h.SideOf(v.P) {
+	for i := range p.verts {
+		switch h.SideOf(p.verts[i].P) {
 		case geom.Above:
 			hasAbove = true
 		case geom.Below:
@@ -174,50 +177,67 @@ func (p *Polytope) Classify(h geom.Hyperplane) Class {
 // returns the classification that held before the cut. After a
 // ClassBelow cut the polytope becomes empty; after ClassOn it is unchanged
 // except that the constraint is recorded (it is degenerate-tight).
+//
+// One side pass over the vertices serves both the classification, which
+// Classify would give, and the split.
 func (p *Polytope) Cut(h geom.Hyperplane) Class {
 	p.ballValid, p.rectValid = false, false
-	class := p.Classify(h)
 	idx := p.dim + len(p.cons)
 	p.cons = append(p.cons, h)
+	if len(p.verts) == 0 {
+		return ClassEmpty
+	}
+	side := p.side[:0]
+	nAbove, nBelow := 0, 0
+	for i := range p.verts {
+		s := h.SideOf(p.verts[i].P)
+		switch s {
+		case geom.Above:
+			nAbove++
+		case geom.Below:
+			nBelow++
+		}
+		side = append(side, s)
+	}
+	p.side = side
 
-	switch class {
-	case ClassEmpty:
-		return class
-	case ClassBelow:
+	switch {
+	case nAbove == 0 && nBelow > 0:
 		// Closed-halfspace semantics: vertices exactly on the hyperplane
 		// survive the cut (the polytope collapses to its On face, possibly
 		// empty). This matters for indifference answers and for the
 		// degenerate hyperplanes of duplicated points.
 		var kept []Vertex
-		for _, v := range p.verts {
-			if h.SideOf(v.P) == geom.On {
+		for i, v := range p.verts {
+			if side[i] == geom.On {
 				v.tight.set(idx)
 				kept = append(kept, v)
 			}
 		}
 		p.verts = kept
-		return class
-	case ClassAbove, ClassOn:
+		return ClassBelow
+	case nBelow == 0:
 		// Nothing removed; mark tightness on touching vertices.
 		for i := range p.verts {
-			if h.SideOf(p.verts[i].P) == geom.On {
+			if side[i] == geom.On {
 				p.verts[i].tight.set(idx)
 			}
 		}
-		return class
+		if nAbove > 0 {
+			return ClassAbove
+		}
+		return ClassOn
 	}
 
-	// ClassIntersect: partition vertices, generate edge crossings.
-	var above, below []Vertex
-	var kept []Vertex
-	for _, v := range p.verts {
-		switch h.SideOf(v.P) {
+	// ClassIntersect: keep the Above and On vertices in order, then add the
+	// edge crossings.
+	old := p.verts
+	kept := make([]Vertex, 0, len(old)+min(nAbove, nBelow))
+	for i, v := range old {
+		switch side[i] {
 		case geom.Above:
-			above = append(above, v)
 			kept = append(kept, v)
-		case geom.Below:
-			below = append(below, v)
-		default:
+		case geom.On:
 			v.tight.set(idx)
 			kept = append(kept, v)
 		}
@@ -227,8 +247,16 @@ func (p *Polytope) Cut(h geom.Hyperplane) Class {
 	if need < 0 {
 		need = 0
 	}
-	for _, a := range above {
-		for _, b := range below {
+	for ia := range old {
+		if side[ia] != geom.Above {
+			continue
+		}
+		a := &old[ia]
+		for ib := range old {
+			if side[ib] != geom.Below {
+				continue
+			}
+			b := &old[ib]
 			if a.tight.commonCount(b.tight) < need {
 				continue
 			}
@@ -237,8 +265,8 @@ func (p *Polytope) Cut(h geom.Hyperplane) Class {
 				continue
 			}
 			dup := false
-			for _, k := range kept {
-				if k.P.Equal(x) {
+			for k := range kept {
+				if kept[k].P.Equal(x) {
 					dup = true
 					break
 				}
@@ -246,7 +274,7 @@ func (p *Polytope) Cut(h geom.Hyperplane) Class {
 			if dup {
 				continue
 			}
-			tight := p.crossingTight(a, b, x, idx)
+			tight := p.crossingTight(*a, *b, x, idx)
 			if !p.tightRankFull(tight) {
 				// The inherited tight set may undercount under degeneracy;
 				// recompute exactly before rejecting the candidate.
@@ -264,7 +292,7 @@ func (p *Polytope) Cut(h geom.Hyperplane) Class {
 		}
 	}
 	p.verts = kept
-	return class
+	return ClassIntersect
 }
 
 // tightSetAt recomputes the exact tight-constraint set at point x.
@@ -283,33 +311,42 @@ func (p *Polytope) tightSetAt(x geom.Vector) bitset {
 	return t
 }
 
+// rankBuf is the stack buffer tightRankFull stages its rows in: 16 rows at
+// d = 4, 10 at d = 6. A larger tight set spills to the heap.
+const rankBuf = 64
+
 // tightRankFull reports whether the normals of the tight constraints,
 // together with the simplex equality Σu = 1, span the full dimension d —
-// the defining property of a polytope vertex.
+// the defining property of a polytope vertex. The rows (the all-ones row,
+// the unit rows of the tight coordinates, the tight cuts' normals, in that
+// order) are eliminated in place by geom's Matrix.Eliminate, which
+// Matrix.Rank runs on a copy.
 func (p *Polytope) tightRankFull(t bitset) bool {
 	d := p.dim
-	ones := geom.NewVector(d)
-	for i := range ones {
-		ones[i] = 1
+	var buf [rankBuf]float64
+	data := buf[:0]
+	for i := 0; i < d; i++ {
+		data = append(data, 1)
 	}
-	rows := make([]geom.Vector, 0, d+2)
-	rows = append(rows, ones)
 	for i := 0; i < d; i++ {
 		if t.has(i) {
-			e := geom.NewVector(d)
-			e[i] = 1
-			rows = append(rows, e)
+			for j := 0; j < d; j++ {
+				data = append(data, 0)
+			}
+			data[len(data)-d+i] = 1
 		}
 	}
 	for i := range p.cons {
-		if t.has(p.dim + i) {
-			rows = append(rows, p.cons[i].Normal)
+		if t.has(d + i) {
+			data = append(data, p.cons[i].Normal...)
 		}
 	}
-	if len(rows) < d {
+	rows := len(data) / d
+	if rows < d {
 		return false
 	}
-	return geom.RankOfRows(rows) >= d
+	m := geom.Matrix{Rows: rows, Cols: d, Data: data}
+	return m.Eliminate(0) >= d
 }
 
 // crossingTight builds the tight-constraint set of a new crossing vertex
@@ -354,7 +391,11 @@ func (p *Polytope) Center() geom.Vector {
 			c[i] += x
 		}
 	}
-	return c.Scale(1 / float64(len(p.verts)))
+	inv := 1 / float64(len(p.verts))
+	for i := range c {
+		c[i] *= inv
+	}
+	return c
 }
 
 // Sample returns a random point of the polytope: a random convex combination

@@ -158,6 +158,11 @@ func TestPinnedDialogueDigests(t *testing.T) {
 	robustAccurate := func(seed int64) Algorithm {
 		return core.NewRobustHDPI(core.HDPIOptions{Mode: core.ConvexExact, Rng: rand.New(rand.NewSource(seed))})
 	}
+	// The baselines with a regret threshold run at ε = 0.05 and, for the
+	// sorting pair, two tuples a display.
+	utilityApprox := func(int64) Algorithm { return NewUtilityApprox(0.05) }
+	sortingSimplex := func(seed int64) Algorithm { return NewSortingSimplex(2, 0.05, seed) }
+	sortingRandom := func(seed int64) Algorithm { return NewSortingRandom(2, 0.05, seed) }
 	six := Budget{MaxQuestions: 6}
 	roomy := Budget{MaxQuestions: 64}
 	allTopK := Budget{MaxQuestions: 24}
@@ -186,6 +191,14 @@ func TestPinnedDialogueDigests(t *testing.T) {
 		{"RobustHDPI/flip-1", budgeted(NewRobustHDPI, roomy, flipFirst), "b469890592e03ed9bdcf7ef1590717ada2f2c25b9ca108bae23b85b5237cddca"},
 		{"RobustHDPI/panic-5", budgeted(NewRobustHDPI, roomy, panicAtFifth), "2ab67289a8efd6a721b2148d5bcde3496020b96752a8c0ce3e366bbf81a14871"},
 		{"RobustHDPI-accurate/max-6", budgeted(robustAccurate, six, nil), "8b2ffb1c736edc6fac541aaaf66116a40a3fe4e3a8e834096f1d80c5849489c5"},
+		// The baselines that cut or classify polytopes.
+		{"PreferenceLearning", single(NewPreferenceLearning), "fa111f73e75094a6269d27d6dd179365213707ebabdee6bde6c6c25a460d2282"},
+		{"ActiveRanking", single(NewActiveRanking), "e47e88e596cff29a1056a68cc9002edcee8a51157ebe39a729a687fbe1e29024"},
+		{"UtilityApprox", single(utilityApprox), "9b79063e83e4c1da9753c00f5f8c73b9fa60546bde5d4a14146328b5ae64321e"},
+		{"Sorting-Simplex", single(sortingSimplex), "50586c6adf10b019bd01fa63ae93a7b037e7690b98913c8e858ecf9c1ab0a5da"},
+		{"Sorting-Random", single(sortingRandom), "6c8e7500924a63cf10e82aa0ceb84ca9dc114f73cee778b2f15aee88bb4bd059"},
+		{"UH-Random-Adapt", single(NewUHRandomAdapt), "1b7d2501e40f7b155cc385956704eacd37d9fd5498338002e1e0994a96d96069"},
+		{"UH-Simplex-Adapt", single(NewUHSimplexAdapt), "8e8521e92d1ae374dd76972decd59d1a54eadc75be47f4de5b8d6383b3d2609a"},
 	}
 	for _, c := range cases {
 		if got := pinnedDigest(band, c.run); got != c.want {
