@@ -170,32 +170,6 @@ func BenchmarkPolytopeCutStrategies(b *testing.B) {
 	}
 }
 
-// BenchmarkStopCheckFrequency ablates how often HD-PI runs the Lemma 5.5
-// stopping check (ablation #5): rarely checking saves time per round but
-// can waste questions.
-func BenchmarkStopCheckFrequency(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	ds := AntiCorrelated(rng, 1500, 4)
-	k := 20
-	band := Preprocess(ds.Points, k)
-	u := RandomUtility(rng, 4)
-	for _, every := range []int{1, 2, 5} {
-		b.Run(benchName("every", every), func(b *testing.B) {
-			totalQ := 0
-			for i := 0; i < b.N; i++ {
-				alg := core.NewHDPI(core.HDPIOptions{
-					Mode: core.ConvexSampling, StopCheckEvery: every,
-					Rng: rand.New(rand.NewSource(int64(i))),
-				})
-				user := NewUser(u)
-				alg.Run(band, k, user)
-				totalQ += user.Questions()
-			}
-			b.ReportMetric(float64(totalQ)/float64(b.N), "questions/user")
-		})
-	}
-}
-
 // BenchmarkConvexPoints compares the exact vs sampling convex-point
 // detection feeding HD-PI (ablation #3).
 func BenchmarkConvexPoints(b *testing.B) {

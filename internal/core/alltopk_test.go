@@ -39,7 +39,7 @@ func TestRHMultiAllTopK(t *testing.T) {
 		ds := dataset.AntiCorrelated(rng, 80, d)
 		band := skyband.Filter(ds.Points, skyband.KSkyband(ds.Points, k))
 		u := oracle.RandomUtility(rng, d)
-		alg := NewRH(RHOptions{Rng: rand.New(rand.NewSource(int64(trial))), UseBall: true})
+		alg := NewRH(RHOptions{Rng: rand.New(rand.NewSource(int64(trial)))})
 		user := oracle.NewUser(u)
 		got := alg.RunMulti(band, k, k, user)
 		checkMulti(t, alg.Name(), got, band, u, k, k)
@@ -190,7 +190,7 @@ func TestHDPIEmptiedAnswersAtLastProbe(t *testing.T) {
 	u := oracle.RandomUtility(rng, 3)
 	for _, mode := range []ConvexMode{ConvexSampling, ConvexExact} {
 		a := NewHDPI(HDPIOptions{Mode: mode, Rng: rand.New(rand.NewSource(79))})
-		tr := newTracker(Budget{}, a.opt.Strategy, 1, nil)
+		tr := newTracker(Budget{}, nil)
 		user := oracle.NewNoisyUser(u, 0.3, rand.New(rand.NewSource(179)))
 		got := a.run(band, k, want, user, tr)
 		if cert := tr.certificate(band, k); cert.Certified || cert.Reason != StopDegenerate || cert.Questions != 5 {

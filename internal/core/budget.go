@@ -8,7 +8,6 @@ import (
 	"ist/internal/geom"
 	"ist/internal/obs"
 	"ist/internal/oracle"
-	"ist/internal/polytope"
 )
 
 // This file is the anytime engine: a Budget bounds an interaction (question
@@ -81,8 +80,9 @@ type Certificate struct {
 	// CredibleWeight is the posterior weight fraction behind the answer
 	// (RobustHDPI only; 0 otherwise).
 	CredibleWeight float64 `json:"credibleWeight,omitempty"`
-	// Degradations lists the quality trade-offs the degradation ladder took
-	// under pressure (bounding downgrades, convex-mode fallback, ...).
+	// Degradations lists the trade-offs the run took under pressure: the
+	// halved stop-check cadence near a deadline, the accurate→sampling
+	// convex-point fallback.
 	Degradations []string `json:"degradations,omitempty"`
 	// Elapsed is the run's wall time, measured on the budget's injected
 	// clock (zero for inactive budgets, which perform no clock reads).
@@ -94,27 +94,19 @@ type Certificate struct {
 // unbudgeted fast path: every method is safe and free on the nil receiver.
 type tracker struct {
 	active bool
-	// budgeted marks trackers built by newTracker (budget machinery in
-	// play, even if the budget itself is inactive); observer-only trackers
-	// from obsTracker leave it false so instrumentation never changes how
-	// an unbudgeted run uses the preprocessing cache (populate vs
-	// lookup-only in convex-point detection).
-	budgeted bool
-	budget   Budget
-	clk      clock.Clock
+	budget Budget
+	clk    clock.Clock
 	// obs receives trace events; nil is the silent fast path. Events carry
 	// only already-computed state, so an attached observer consumes no
 	// randomness and leaves transcripts bit-identical.
 	obs obs.Observer
 
 	// Degradation-ladder state. start/horizon scale deadline pressure;
-	// strategy and stopEvery are the knobs algorithms re-read each round.
-	start     time.Time
-	horizon   time.Duration
-	ladder    int
-	strategy  polytope.Strategy
-	stopEvery int
-	notes     []string
+	// halved is set once the ladder has halved the Lemma 5.5 cadence.
+	start   time.Time
+	horizon time.Duration
+	halved  bool
+	notes   []string
 
 	asked     int
 	exhReason StopReason
@@ -129,14 +121,10 @@ type tracker struct {
 	credible  float64
 }
 
-// newTracker builds a tracker for the budget, seeded with the algorithm's
-// configured bounding strategy and stop-check cadence (the ladder's knobs)
-// and carrying the run's trace observer (nil for untraced runs).
-func newTracker(b Budget, strat polytope.Strategy, stopEvery int, o obs.Observer) *tracker {
-	if stopEvery <= 0 {
-		stopEvery = 1
-	}
-	t := &tracker{budget: b, strategy: strat, stopEvery: stopEvery, active: b.Active(), budgeted: true, obs: o}
+// newTracker builds a tracker for the budget, carrying the run's trace
+// observer (nil for untraced runs).
+func newTracker(b Budget, o obs.Observer) *tracker {
+	t := &tracker{budget: b, active: b.Active(), obs: o}
 	if !t.active {
 		return t
 	}
@@ -151,17 +139,15 @@ func newTracker(b Budget, strat polytope.Strategy, stopEvery int, o obs.Observer
 	return t
 }
 
-// obsTracker returns a tracker that only carries a trace observer — no
-// budget, no clock — or nil when there is nothing to observe, keeping the
-// uninstrumented fast path allocation-free. It is how the plain Run entry
-// points thread an attached observer without changing any behaviour:
-// every budget gate checks active (false here) and the cache routing
-// checks budgeted (also false here).
+// obsTracker returns the tracker of an unbudgeted run: nil when there is
+// nothing to observe, keeping the uninstrumented fast path
+// allocation-free, and otherwise an inactive tracker that only carries the
+// observer, so every budget gate lets the run through unchanged.
 func obsTracker(o obs.Observer) *tracker {
 	if o == nil {
 		return nil
 	}
-	return &tracker{obs: o}
+	return newTracker(Budget{}, o)
 }
 
 // observer returns the trace observer, nil-safe on a nil tracker.
@@ -248,34 +234,27 @@ func (t *tracker) observe(u geom.Vector, verts []geom.Vector) {
 	}
 }
 
-// maybeDegrade walks the degradation ladder under deadline pressure: past
-// half the time budget the bounding shortcut downgrades Ball→Rect, past
-// three quarters Rect→None and the stop-check cadence doubles. Dropping
-// bounding-volume maintenance trades average-case speed for predictable
-// per-question latency (no cache rebuilds on heavily cut polytopes), and a
-// sparser Lemma 5.5 check spends the remaining time on region-shrinking
-// questions rather than on certification attempts that keep failing.
+// maybeDegrade is the degradation ladder's one step: past three quarters
+// of the deadline horizon the Lemma 5.5 check runs every other round, so
+// the remaining time goes to questions that shrink the region rather than
+// to certification attempts that keep failing. It reads the clock once per
+// call, before and after the step alike.
 func (t *tracker) maybeDegrade() {
 	if t == nil || !t.active || t.horizon <= 0 {
 		return
 	}
 	elapsed := t.clk.Now().Sub(t.start)
-	if t.ladder < 1 && elapsed*2 >= t.horizon {
-		t.ladder = 1
-		if t.strategy == polytope.StrategyBall {
-			t.strategy = polytope.StrategyRectFast
-			t.note("bounding ball→rect under deadline pressure")
-		}
-	}
-	if t.ladder < 2 && elapsed*4 >= t.horizon*3 {
-		t.ladder = 2
-		if t.strategy != polytope.StrategyNone {
-			t.strategy = polytope.StrategyNone
-			t.note("bounding rect→none under deadline pressure")
-		}
-		t.stopEvery *= 2
+	if !t.halved && elapsed*4 >= t.horizon*3 {
+		t.halved = true
 		t.note("stop-check cadence halved under deadline pressure")
 	}
+}
+
+// checkDue reports whether the algorithm checks Lemma 5.5 in the given
+// round: every round, and every other round once the ladder has halved the
+// cadence. It is true on a nil tracker.
+func (t *tracker) checkDue(round int) bool {
+	return t == nil || !t.halved || round%2 == 0
 }
 
 // note records a degradation once, emitting a degradation-step event on

@@ -12,7 +12,6 @@ import (
 	"ist/internal/geom"
 	"ist/internal/obs"
 	"ist/internal/oracle"
-	"ist/internal/polytope"
 	"ist/internal/skyband"
 )
 
@@ -51,6 +50,9 @@ func TestNilTrackerIsFree(t *testing.T) {
 	}
 	tr.observe(geom.Vector{1, 0}, nil)
 	tr.maybeDegrade()
+	if !tr.checkDue(1) {
+		t.Fatal("nil tracker skips a stop check")
+	}
 	tr.note("ignored")
 	tr.finish(true, StopConverged, nil)
 	if got := tr.certificate(nil, 1); got.Certified || got.Reason != "" || got.Questions != 0 || got.Candidates != 0 {
@@ -62,7 +64,7 @@ func TestNilTrackerIsFree(t *testing.T) {
 }
 
 func TestTrackerQuestionBudget(t *testing.T) {
-	tr := newTracker(Budget{MaxQuestions: 2}, polytope.StrategyNone, 1, nil)
+	tr := newTracker(Budget{MaxQuestions: 2}, nil)
 	if tr.exhausted() {
 		t.Fatal("exhausted before any question")
 	}
@@ -81,7 +83,7 @@ func TestTrackerQuestionBudget(t *testing.T) {
 
 func TestTrackerContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	tr := newTracker(Budget{Ctx: ctx}, polytope.StrategyNone, 1, nil)
+	tr := newTracker(Budget{Ctx: ctx}, nil)
 	if tr.exhausted() {
 		t.Fatal("exhausted before cancellation")
 	}
@@ -95,35 +97,32 @@ func TestTrackerContextCancel(t *testing.T) {
 }
 
 // TestTrackerDeadlineLadder walks the degradation ladder on a fake clock:
-// Ball survives the first half of the horizon, downgrades to RectFast past
-// one half, then to None (with a doubled stop-check cadence) past three
-// quarters, and the deadline finally exhausts the run.
+// nothing changes through half the horizon, the Lemma 5.5 cadence halves
+// past three quarters, and the deadline finally exhausts the run. Every
+// maybeDegrade call reads the clock exactly once, so a run on a stepping
+// clock meets its deadline at the same question whatever the ladder did.
 func TestTrackerDeadlineLadder(t *testing.T) {
+	const cadenceNote = "stop-check cadence halved under deadline pressure"
 	start := time.Unix(100, 0)
 	fake := clock.NewFake(start)
-	tr := newTracker(Budget{Deadline: start.Add(1 * time.Second), Clock: fake}, polytope.StrategyBall, 2, nil)
+	tr := newTracker(Budget{Deadline: start.Add(1 * time.Second), Clock: fake}, nil)
+	everyRound := func() bool { return tr.checkDue(0) && tr.checkDue(1) && tr.checkDue(2) }
 
 	tr.maybeDegrade()
-	if tr.strategy != polytope.StrategyBall {
-		t.Fatalf("degraded at t=0: strategy %v", tr.strategy)
+	if !everyRound() || len(tr.notes) != 0 {
+		t.Fatalf("degraded at t=0: notes %v", tr.notes)
 	}
 
 	fake.Advance(500 * time.Millisecond) // exactly half the horizon
 	tr.maybeDegrade()
-	if tr.strategy != polytope.StrategyRectFast {
-		t.Fatalf("at half horizon: strategy %v, want RectFast", tr.strategy)
-	}
-	if tr.stopEvery != 2 {
-		t.Fatalf("stop cadence changed at stage 1: %d", tr.stopEvery)
+	if !everyRound() || len(tr.notes) != 0 {
+		t.Fatalf("degraded at half horizon: notes %v", tr.notes)
 	}
 
 	fake.Advance(250 * time.Millisecond) // three quarters
 	tr.maybeDegrade()
-	if tr.strategy != polytope.StrategyNone {
-		t.Fatalf("at three-quarter horizon: strategy %v, want None", tr.strategy)
-	}
-	if tr.stopEvery != 4 {
-		t.Fatalf("stop cadence not doubled at stage 2: %d", tr.stopEvery)
+	if !tr.checkDue(0) || tr.checkDue(1) || !tr.checkDue(2) || tr.checkDue(3) {
+		t.Fatal("at three-quarter horizon: the stop check does not run every other round")
 	}
 	if tr.exhausted() {
 		t.Fatal("exhausted before the deadline")
@@ -136,15 +135,19 @@ func TestTrackerDeadlineLadder(t *testing.T) {
 	if tr.stopReason() != StopDeadline {
 		t.Fatalf("stopReason = %q, want %q", tr.stopReason(), StopDeadline)
 	}
-
-	notes := tr.notes
-	if len(notes) != 3 {
-		t.Fatalf("degradation notes = %v, want 3 entries", notes)
-	}
 	// Notes are deduplicated: walking the ladder again records nothing new.
 	tr.maybeDegrade()
-	if len(tr.notes) != len(notes) {
-		t.Fatalf("duplicate degradation notes recorded: %v", tr.notes)
+	if !slices.Equal(tr.notes, []string{cadenceNote}) {
+		t.Fatalf("degradation notes = %v, want only %q", tr.notes, cadenceNote)
+	}
+
+	fake.SetStep(time.Millisecond)
+	before := fake.Now()
+	for range 3 {
+		tr.maybeDegrade()
+	}
+	if reads := fake.Now().Sub(before)/time.Millisecond - 1; reads != 3 {
+		t.Fatalf("three maybeDegrade calls read the clock %d times, want 3", reads)
 	}
 }
 
@@ -200,10 +203,8 @@ func (o *jumpingOracle) Prefer(p, q geom.Vector) bool {
 func (o *jumpingOracle) Questions() int { return o.inner.Questions() }
 
 // TestDegradedStopCadenceHonoured: once the ladder halves the stop-check
-// cadence, every budgeted variant that lists the step in its certificate
-// must actually check at most every other round from then on. RobustHDPI
-// classifies nothing after set-up, so its certificate lists no bounding
-// step, only the cadence.
+// cadence, every budgeted variant lists that step, and only that step, in
+// its certificate and checks at most every other round from then on.
 func TestDegradedStopCadenceHonoured(t *testing.T) {
 	const k = 5
 	rng := rand.New(rand.NewSource(42))
@@ -255,11 +256,8 @@ func TestDegradedStopCadenceHonoured(t *testing.T) {
 			var rec obs.Recorder
 			cert := c.run(&rec, user, Budget{Deadline: start.Add(time.Second), Clock: fake})
 
-			if !slices.Contains(cert.Degradations, cadenceNote) {
-				t.Fatalf("certificate degradations %v do not list %q", cert.Degradations, cadenceNote)
-			}
-			if c.name == "robust-hdpi" && !slices.Equal(cert.Degradations, []string{cadenceNote}) {
-				t.Errorf("certificate degradations %v, want only %q", cert.Degradations, cadenceNote)
+			if !slices.Equal(cert.Degradations, []string{cadenceNote}) {
+				t.Fatalf("certificate degradations %v, want only %q", cert.Degradations, cadenceNote)
 			}
 			var degraded bool
 			var questions, checks int

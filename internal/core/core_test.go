@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -117,7 +119,7 @@ func TestHDPISamplingMostlyCorrect(t *testing.T) {
 		ds := dataset.AntiCorrelated(rng, n, d)
 		band := skyband.Filter(ds.Points, skyband.KSkyband(ds.Points, k))
 		u := oracle.RandomUtility(rng, d)
-		alg := NewHDPI(HDPIOptions{Mode: ConvexSampling, Samples: 300, Rng: rand.New(rand.NewSource(int64(trial)))})
+		alg := NewHDPI(HDPIOptions{Mode: ConvexSampling, Rng: rand.New(rand.NewSource(int64(trial)))})
 		got := alg.Run(band, k, oracle.NewUser(u))
 		total++
 		if oracle.IsTopK(band, u, k, band[got]) {
@@ -131,25 +133,49 @@ func TestHDPISamplingMostlyCorrect(t *testing.T) {
 
 func TestRHCorrectness(t *testing.T) {
 	for d := 2; d <= 5; d++ {
-		alg := NewRH(RHOptions{Rng: rand.New(rand.NewSource(11)), UseBall: true})
+		alg := NewRH(RHOptions{Rng: rand.New(rand.NewSource(11))})
 		runCorrectnessTrials(t, alg, d, 12, int64(200+d))
 	}
 }
 
-func TestRHNoBallMatches(t *testing.T) {
-	// The bounding-ball pre-test must not change behaviour, only speed.
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 10; trial++ {
-		ds := dataset.AntiCorrelated(rng, 80, 3)
-		k := 3
-		band := skyband.Filter(ds.Points, skyband.KSkyband(ds.Points, k))
-		u := oracle.RandomUtility(rng, 3)
-		a := NewRH(RHOptions{Rng: rand.New(rand.NewSource(42)), UseBall: true})
-		b := NewRH(RHOptions{Rng: rand.New(rand.NewSource(42)), UseBall: false})
-		ua, ub := oracle.NewUser(u), oracle.NewUser(u)
-		ra, rb := a.Run(band, k, ua), b.Run(band, k, ub)
-		if ra != rb || ua.Questions() != ub.Questions() {
-			t.Fatalf("trial %d: ball %d/%dq vs noball %d/%dq", trial, ra, ua.Questions(), rb, ub.Questions())
+// TestBoundingStrategyNeverChangesTranscript: a bounding volume (Lemma
+// 5.1) decides only how fast a cell is classified against a hyperplane,
+// never the class it gets, so HD-PI asks the same questions and returns the
+// same answers under every strategy, in both convex modes and for one or
+// several answers, on embed-slices-shaped and anti-correlated bands.
+func TestBoundingStrategyNeverChangesTranscript(t *testing.T) {
+	const k = 10
+	rng := rand.New(rand.NewSource(2))
+	catalog := carSliceCatalog(t)
+	var bands [][]geom.Vector
+	for range 3 {
+		bands = append(bands, carSlice(catalog, rng))
+	}
+	for range 2 {
+		ds := dataset.AntiCorrelated(rng, 300, 4)
+		bands = append(bands, skyband.Filter(ds.Points, skyband.KSkyband(ds.Points, k)))
+	}
+	strategies := []polytope.Strategy{polytope.StrategyBall, polytope.StrategyRect, polytope.StrategyRectFast, polytope.StrategyNone}
+	for b, band := range bands {
+		u := oracle.RandomUtility(rng, len(band[0]))
+		for _, mode := range []ConvexMode{ConvexSampling, ConvexExact} {
+			for _, want := range []int{1, 3} {
+				var ref *recordingOracle
+				var refGot []int
+				for _, strat := range strategies {
+					rec := &recordingOracle{inner: oracle.NewUser(u)}
+					alg := NewHDPI(HDPIOptions{Mode: mode, Strategy: strat, Rng: rand.New(rand.NewSource(int64(b)))})
+					got := alg.RunMulti(band, k, want, rec)
+					if ref == nil {
+						ref, refGot = rec, got
+						continue
+					}
+					if !slices.Equal(got, refGot) || !reflect.DeepEqual(rec.log, ref.log) {
+						t.Fatalf("band %d, %s, want %d: %v answered %v after %d questions, %v answered %v after %d",
+							b, mode, want, strat, got, len(rec.log), strategies[0], refGot, len(ref.log))
+					}
+				}
+			}
 		}
 	}
 }
@@ -194,23 +220,6 @@ func TestLowerBoundQuestions(t *testing.T) {
 	}
 	if avg > 4*logNk {
 		t.Fatalf("average questions %.1f far above O(log(n/k)) = %.1f", avg, logNk)
-	}
-}
-
-func TestHDPIStopCheckEveryAblation(t *testing.T) {
-	// Less frequent stopping checks must stay correct (maybe more questions).
-	rng := rand.New(rand.NewSource(8))
-	ds := dataset.AntiCorrelated(rng, 100, 3)
-	k := 5
-	band := skyband.Filter(ds.Points, skyband.KSkyband(ds.Points, k))
-	u := oracle.RandomUtility(rng, 3)
-	for _, every := range []int{1, 3, 10} {
-		alg := NewHDPI(HDPIOptions{Mode: ConvexExact, Rng: rand.New(rand.NewSource(1)), StopCheckEvery: every})
-		user := oracle.NewUser(u)
-		got := alg.Run(band, k, user)
-		if !oracle.IsTopK(band, u, k, band[got]) {
-			t.Fatalf("StopCheckEvery=%d: wrong answer", every)
-		}
 	}
 }
 
@@ -266,7 +275,7 @@ func TestHDPIFewerQuestionsAsKGrows(t *testing.T) {
 		for trial := 0; trial < trials; trial++ {
 			u := oracle.RandomUtility(rng, 4)
 			user := oracle.NewUser(u)
-			NewHDPI(HDPIOptions{Mode: ConvexSampling, Samples: 300, Rng: rand.New(rand.NewSource(int64(trial)))}).Run(band, k, user)
+			NewHDPI(HDPIOptions{Mode: ConvexSampling, Rng: rand.New(rand.NewSource(int64(trial)))}).Run(band, k, user)
 			total += user.Questions()
 		}
 		return float64(total) / float64(trials)
@@ -329,9 +338,6 @@ func TestHDPIBetaZeroUsesDefault(t *testing.T) {
 	alg := NewHDPI(HDPIOptions{Rng: rand.New(rand.NewSource(1))})
 	if alg.opt.Beta != 0.01 {
 		t.Fatalf("default beta = %v", alg.opt.Beta)
-	}
-	if alg.opt.Samples != 400 || alg.opt.StopCheckEvery != 1 {
-		t.Fatalf("defaults = %+v", alg.opt)
 	}
 }
 

@@ -36,31 +36,28 @@ func (m ConvexMode) String() string {
 type HDPIOptions struct {
 	// Mode selects exact vs sampled convex points. Default ConvexSampling.
 	Mode ConvexMode
-	// Samples is the number of utility samples in sampling mode (default 400).
-	Samples int
 	// Beta is the even-score balance parameter β of Definition 5.4
 	// (default 0.01, the value the paper settles on in Figure 6). HD-PI
 	// only: RobustHDPI picks its questions by weight.
 	Beta float64
 	// Strategy is the bounding shortcut for classifying partitions against
-	// hyperplanes. The zero value is the bounding ball, the paper's choice
-	// after Figure 5.
+	// hyperplanes. It sets how fast a partition is classified, never the
+	// class, so only Figure 5's comparison sets it; the zero value is the
+	// bounding ball, the paper's choice after that figure.
 	Strategy polytope.Strategy
 	// Rng drives sampling; required. Use a fixed seed for reproducibility.
 	Rng *rand.Rand
 	// Stats, when non-nil, accumulates bounding-strategy effectiveness
 	// counters (Figure 5's "effective ratio").
 	Stats *polytope.BoundStats
-	// StopCheckEvery runs the Lemma 5.5 stopping check every this many
-	// rounds (default 1 = every round; ablation knob).
-	StopCheckEvery int
 	// Observer receives trace events (internal/obs); nil disables tracing.
 	Observer obs.Observer
 	// PrepCache, when non-nil and PrepFingerprint != 0, memoizes
 	// dataset-level preprocessing (the exact convex-point set) across
 	// sessions over the same dataset. Sampling mode is never cached (it
-	// consumes randomness); budgeted runs only read the cache, never
-	// populate it (a mid-scan stop would poison it with partial results).
+	// consumes randomness); runs under an active budget only read the
+	// cache, never populate it (a mid-scan stop would poison it with
+	// partial results).
 	PrepCache *prep.Cache
 	// PrepFingerprint keys PrepCache entries — ist.Fingerprint of the
 	// dataset the algorithm will run on. 0 disables caching.
@@ -79,16 +76,14 @@ type HDPI struct {
 	opt HDPIOptions
 }
 
+// convexSamples is the number of utility vectors sampling mode draws to
+// find the convex points.
+const convexSamples = 400
+
 // NewHDPI builds an HD-PI instance, filling in option defaults.
 func NewHDPI(opt HDPIOptions) *HDPI {
-	if opt.Samples <= 0 {
-		opt.Samples = 400
-	}
 	if opt.Beta == 0 {
 		opt.Beta = 0.01
-	}
-	if opt.StopCheckEvery <= 0 {
-		opt.StopCheckEvery = 1
 	}
 	if opt.Rng == nil {
 		opt.Rng = rand.New(rand.NewSource(1))
@@ -144,7 +139,7 @@ func (a *HDPI) RunMultiBudgeted(points []geom.Vector, k, want int, o oracle.Orac
 // the multi-answer entry point checks want, so a single-answer run keeps
 // accepting any k.
 func (a *HDPI) runBudgeted(points []geom.Vector, k, want int, o oracle.Oracle, b Budget) ([]int, Certificate) {
-	tr := newTracker(b, a.opt.Strategy, a.opt.StopCheckEvery, a.opt.Observer)
+	tr := newTracker(b, a.opt.Observer)
 	return tr.guard(points, k, want, func() []int { return a.run(points, k, want, o, tr) })
 }
 
@@ -173,7 +168,6 @@ func (a *HDPI) run(points []geom.Vector, k, want int, o oracle.Oracle, tr *track
 	lastProbe := uniformUtility(len(points[0]))
 	vd := map[int]bool{} // confirmed points (the paper's V_d)
 	round := 0
-	stopEvery := a.opt.StopCheckEvery
 	var stop stopScratch
 	for {
 		// Stopping condition 1: a single partition left, whose point is the
@@ -186,12 +180,8 @@ func (a *HDPI) run(points []geom.Vector, k, want int, o oracle.Oracle, tr *track
 			return bestEffortCells(points, want, C, tr, tr.stopReason())
 		}
 		tr.maybeDegrade()
-		if tr != nil && tr.active {
-			stopEvery = tr.stopEvery
-			gamma.opt.Strategy = tr.strategy
-		}
 		// Stopping condition 2: Lemma 5.5 over R = union of partitions.
-		if round%stopEvery == 0 {
+		if tr.checkDue(round) {
 			verts := allVertices(C)
 			probe := C[rng.Intn(len(C))].poly.Sample(rng)
 			lastProbe = probe
@@ -262,13 +252,14 @@ func setup(points []geom.Vector, want int, opt HDPIOptions, tr *tracker) (C []pa
 	return C, newGammaTable(points, V, C, opt), nil
 }
 
-// emptied finishes a run whose partition set is empty, which only an erring
-// user (Section 6.4) or degenerate input brings about: every partition
-// contradicted some answer, or none was built. The answer is the top-want
-// at the last known location estimate, best-effort.
-func emptied(points []geom.Vector, want int, lastProbe geom.Vector, tr *tracker) []int {
+// emptied finishes a run whose utility region is empty, which only an
+// erring user (Section 6.4) or degenerate input brings about: every
+// partition (RH's one region R) contradicted some answer, or none was
+// built. The answer is the top-want at u, best-effort: HD-PI's last probe,
+// or the uniform utility where no cell was built and for RH.
+func emptied(points []geom.Vector, want int, u geom.Vector, tr *tracker) []int {
 	tr.finish(false, StopDegenerate, nil)
-	return oracle.TopK(points, lastProbe, want)
+	return oracle.TopK(points, u, want)
 }
 
 // refine is the V_d partition refinement of Section 6.5.1, for a lone cell
@@ -329,16 +320,17 @@ const prepKindConvexExact = "convex-exact"
 // (hull.ConvexPointsExact returns an error), the exact mode degrades to
 // sampling instead of building partitions from a set it cannot vouch for.
 //
-// The exact paths honour opt.PrepCache: unbudgeted exact results are
-// memoized under the dataset fingerprint with their event tape, so a cached
-// session emits the same stream a cold one does. Budgeted runs only read the
-// cache — a hit hands them the complete exact set for free, a miss computes
-// locally without populating (the scan may stop mid-way). Sampling mode
-// consumes randomness and is never cached.
+// The exact paths honour opt.PrepCache: the exact results of runs that no
+// active budget can stop are memoized under the dataset fingerprint with
+// their event tape, so a cached session emits the same stream a cold one
+// does. Runs under an active budget only read the cache — a hit hands them
+// the complete exact set for free, a miss computes locally without
+// populating (the scan may stop mid-way). Sampling mode consumes randomness
+// and is never cached.
 func convexPoints(points []geom.Vector, opt HDPIOptions, tr *tracker) []int {
 	o := tr.observer()
 	if opt.Mode != ConvexExact {
-		V := hull.ConvexPointsSampling(points, opt.Samples, opt.Rng)
+		V := hull.ConvexPointsSampling(points, convexSamples, opt.Rng)
 		obs.ConvexPointsFound(o, len(V), "sampling")
 		return V
 	}
@@ -363,7 +355,7 @@ func convexPoints(points []geom.Vector, opt HDPIOptions, tr *tracker) []int {
 		return V
 	}
 	var err error
-	if tr == nil || !tr.budgeted {
+	if tr == nil || !tr.active {
 		var v any
 		v, err = cache.Do(key, o, func(co obs.Observer) (any, int64, error) {
 			V, err := hull.ConvexPointsExact(points, nil, co)
@@ -382,7 +374,7 @@ func convexPoints(points []geom.Vector, opt HDPIOptions, tr *tracker) []int {
 		}
 	}
 	tr.note("convex accurate→sampling (" + err.Error() + ")")
-	V := hull.ConvexPointsSampling(points, opt.Samples, opt.Rng)
+	V := hull.ConvexPointsSampling(points, convexSamples, opt.Rng)
 	obs.ConvexPointsFound(o, len(V), "sampling")
 	return V
 }

@@ -14,29 +14,15 @@ type RHOptions struct {
 	// Rng drives the random point order and the stopping-check sampling;
 	// required for reproducibility (defaults to a fixed seed).
 	Rng *rand.Rand
-	// StopCheckEvery runs the Lemma 5.5 check every this many rounds
-	// (default 1; ablation knob).
-	StopCheckEvery int
-	// UseBall enables the O(1) bounding-ball pre-test when scanning
-	// candidate hyperplanes (default true).
-	UseBall bool
 	// Observer receives trace events (internal/obs); nil disables tracing.
 	Observer obs.Observer
-}
-
-// strategy is the bounding shortcut the options ask for; the degradation
-// ladder may downgrade it mid-run under deadline pressure.
-func (opt RHOptions) strategy() polytope.Strategy {
-	if opt.UseBall {
-		return polytope.StrategyBall
-	}
-	return polytope.StrategyNone
 }
 
 // RH is the random-hyperplane algorithm of Section 5.3. It maintains a
 // single utility range R, walks a random order of the points, and at each
 // step asks the question whose hyperplane intersects R closest to R's
-// centre. It asks O(c·d·log n) questions in expectation (Theorem 5.7),
+// centre, finding the intersecting hyperplanes with Lemma 5.1's bounding
+// ball first. It asks O(c·d·log n) questions in expectation (Theorem 5.7),
 // asymptotically optimal for fixed d (Corollary 5.8), and is the fastest of
 // the paper's algorithms.
 //
@@ -51,15 +37,12 @@ func NewRH(opt RHOptions) *RH {
 	if opt.Rng == nil {
 		opt.Rng = rand.New(rand.NewSource(1))
 	}
-	if opt.StopCheckEvery <= 0 {
-		opt.StopCheckEvery = 1
-	}
 	return &RH{opt: opt}
 }
 
 // NewRHDefault returns RH with default options and the given seed.
 func NewRHDefault(seed int64) *RH {
-	return NewRH(RHOptions{Rng: rand.New(rand.NewSource(seed)), UseBall: true})
+	return NewRH(RHOptions{Rng: rand.New(rand.NewSource(seed))})
 }
 
 // Name implements Algorithm and MultiAlgorithm.
@@ -98,21 +81,8 @@ func (a *RH) RunMultiBudgeted(points []geom.Vector, k, want int, o oracle.Oracle
 // multi-answer entry point checks want, so a single-answer run keeps
 // accepting any k.
 func (a *RH) runBudgeted(points []geom.Vector, k, want int, o oracle.Oracle, b Budget) ([]int, Certificate) {
-	tr := newTracker(b, a.opt.strategy(), a.opt.StopCheckEvery, a.opt.Observer)
+	tr := newTracker(b, a.opt.Observer)
 	return tr.guard(points, k, want, func() []int { return a.run(points, k, want, o, tr) })
-}
-
-// bestEffortRegion finishes a budget-exhausted run on the single polytope R:
-// the answer is the top-want at R's centre, the certificate's candidate
-// count is computed over R's vertices.
-func bestEffortRegion(points []geom.Vector, want int, R *polytope.Polytope, tr *tracker) []int {
-	verts := R.Vertices()
-	if len(verts) == 0 {
-		tr.finish(false, tr.stopReason(), nil)
-		return oracle.TopK(points, uniformUtility(len(points[0])), want)
-	}
-	tr.finish(false, tr.stopReason(), verts)
-	return oracle.TopK(points, R.Center(), want)
 }
 
 // run is RH's loop: it returns want points that are certainly among the
@@ -123,28 +93,23 @@ func (a *RH) run(points []geom.Vector, k, want int, o oracle.Oracle, tr *tracker
 	rng := a.opt.Rng
 	R := polytope.NewSimplex(d)
 	perm := rng.Perm(n)
-
-	strat := a.opt.strategy()
-	stopEvery := a.opt.StopCheckEvery
 	var stop stopScratch
 
 	i := 1 // current ladder position: H_i holds hyperplanes (perm[i], perm[j<i])
 	round := 0
 	for {
 		if tr.exhausted() {
-			return bestEffortRegion(points, want, R, tr)
+			// Best effort over R, as HD-PI's over its cells: the top-want
+			// at R's centre.
+			return bestEffortCells(points, want, []partition{{poly: R}}, tr, tr.stopReason())
 		}
 		tr.maybeDegrade()
-		if tr != nil && tr.active {
-			strat, stopEvery = tr.strategy, tr.stopEvery
-		}
 		// Stopping condition 2 (Lemma 5.5) on the single polytope R.
-		if round%stopEvery == 0 {
+		if tr.checkDue(round) {
 			verts := R.Vertices()
 			if len(verts) == 0 {
 				// Only with an erring user: contradictory cuts emptied R.
-				tr.finish(false, StopDegenerate, nil)
-				return oracle.TopK(points, uniformUtility(d), want)
+				return emptied(points, want, uniformUtility(d), tr)
 			}
 			probe := R.Sample(rng)
 			tr.observe(probe, verts)
@@ -167,13 +132,13 @@ func (a *RH) run(points []geom.Vector, k, want int, o oracle.Oracle, tr *tracker
 		for {
 			for j := 0; j < i; j++ {
 				if tr.exhausted() {
-					return bestEffortRegion(points, want, R, tr)
+					return bestEffortCells(points, want, []partition{{poly: R}}, tr, tr.stopReason())
 				}
 				h := geom.NewHyperplane(points[perm[i]], points[perm[j]])
 				if h.Degenerate() {
 					continue
 				}
-				if R.ClassifyWith(h, strat, nil) != polytope.ClassIntersect {
+				if R.ClassifyWith(h, polytope.StrategyBall, nil) != polytope.ClassIntersect {
 					continue
 				}
 				if dist := h.Distance(center); bestJ < 0 || dist < bestDist {

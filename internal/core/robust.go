@@ -73,11 +73,9 @@ func (a *RobustHDPI) Run(points []geom.Vector, k int, o oracle.Oracle) int {
 }
 
 // RunBudgeted implements Budgeted. The certificate additionally reports the
-// posterior weight fraction behind the answer (CredibleWeight). Γ is
-// classified once, at set-up, so a bounding downgrade would trade nothing:
-// the degradation ladder's only step here is the stop-check cadence.
+// posterior weight fraction behind the answer (CredibleWeight).
 func (a *RobustHDPI) RunBudgeted(points []geom.Vector, k int, o oracle.Oracle, b Budget) (int, Certificate) {
-	tr := newTracker(b, polytope.StrategyNone, a.opt.StopCheckEvery, a.opt.Observer)
+	tr := newTracker(b, a.opt.Observer)
 	idx, cert := tr.guard(points, k, 1, func() []int { return []int{a.run(points, k, o, tr)} })
 	return idx[0], cert
 }
@@ -173,11 +171,10 @@ func (a *RobustHDPI) run(points []geom.Vector, k int, o oracle.Oracle, tr *track
 		tr.finish(certified, reason, verts)
 	}
 
-	stopEvery := a.opt.StopCheckEvery
 	for q := 0; q < maxQ; q++ {
 		// Stopping: Lemma 5.5 over the credible region — the posterior's
 		// generalization of HD-PI's stopping condition 2.
-		if q%stopEvery == 0 {
+		if tr.checkDue(q) {
 			cells, frac := credible()
 			if p, verts, ok := answer(cells, true); ok {
 				finish(true, StopConverged, frac, verts)
@@ -188,9 +185,6 @@ func (a *RobustHDPI) run(points []geom.Vector, k int, o oracle.Oracle, tr *track
 			break
 		}
 		tr.maybeDegrade()
-		if tr != nil && tr.active {
-			stopEvery = tr.stopEvery
-		}
 
 		// Question selection: the Γ row splitting the WEIGHT most evenly
 		// (the weighted analogue of the even score); straddling partitions

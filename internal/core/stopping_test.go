@@ -102,11 +102,11 @@ func tappedRegions(name string, band []geom.Vector, k int, seed int64) []stopInp
 	rng := rand.New(rand.NewSource(seed))
 	tap := &regionTap{user: oracle.RandomUser(rng, len(band[0]))}
 	if name == "rh" {
-		tap.tr = newTracker(Budget{}, RHOptions{UseBall: true}.strategy(), 1, nil)
-		NewRH(RHOptions{Rng: rng, UseBall: true}).run(band, k, 1, tap, tap.tr)
+		tap.tr = newTracker(Budget{}, nil)
+		NewRH(RHOptions{Rng: rng}).run(band, k, 1, tap, tap.tr)
 	} else {
 		a := NewHDPI(HDPIOptions{Mode: ConvexExact, Rng: rng})
-		tap.tr = newTracker(Budget{}, a.opt.Strategy, 1, nil)
+		tap.tr = newTracker(Budget{}, nil)
 		a.run(band, k, 1, tap, tap.tr)
 	}
 	for i := range tap.seen {

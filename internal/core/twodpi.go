@@ -4,7 +4,6 @@ import (
 	"ist/internal/geom"
 	"ist/internal/obs"
 	"ist/internal/oracle"
-	"ist/internal/polytope"
 	"ist/internal/prep"
 	"ist/internal/sweep"
 )
@@ -44,7 +43,7 @@ func (t TwoDPI) Run(points []geom.Vector, k int, o oracle.Oracle) int {
 // RunBudgeted implements Budgeted. On exhaustion it returns the point of the
 // median surviving partition — the binary search's current best guess.
 func (t TwoDPI) RunBudgeted(points []geom.Vector, k int, o oracle.Oracle, b Budget) (int, Certificate) {
-	tr := newTracker(b, polytope.StrategyNone, 1, t.Obs)
+	tr := newTracker(b, t.Obs)
 	idx, cert := tr.guard(points, k, 1, func() []int { return []int{t.run(points, k, o, tr)} })
 	return idx[0], cert
 }

@@ -9,7 +9,9 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
+	"ist/internal/clock"
 	"ist/internal/core"
 	"ist/internal/faultinject"
 )
@@ -21,8 +23,10 @@ import (
 // alters a single question or result, even one the other tests would
 // accept as correct, moves the digest. Budgeted cases also hash their
 // certificates, so the best-effort and panic-recovery exits are pinned too:
-// a six- or 24-question budget, a flipped first answer, and an oracle that
-// panics at its fifth question. Persisted sessions are rebuilt by replaying
+// a six- or 24-question budget, a flipped first answer, an oracle that
+// panics at its fifth question, and a deadline on a clock that steps at
+// every read, so the degradation ladder's step and the deadline exit land
+// at fixed points of the dialogue. Persisted sessions are rebuilt by replaying
 // their answer logs, so an unchanged question sequence is a recovery
 // contract as well as a test.
 
@@ -153,6 +157,17 @@ func TestPinnedDialogueDigests(t *testing.T) {
 			return idx, &cert
 		}
 	}
+	// deadlined runs a dialogue under a deadline 1 s away on a fresh fake
+	// clock that advances by step at every read.
+	deadlined := func(newAlg func(seed int64) Algorithm, step time.Duration) pinnedRun {
+		return func(num int64, o Oracle) ([]int, *Certificate) {
+			start := time.Unix(1000, 0)
+			fake := clock.NewFake(start)
+			fake.SetStep(step)
+			res := SolveBudgeted(newAlg(num), band, pinnedK, o, Budget{Deadline: start.Add(time.Second), Clock: fake})
+			return []int{res.Index}, res.Certificate
+		}
+	}
 	// robustAccurate is RobustHDPI on exact convex points, which the
 	// facade does not export.
 	robustAccurate := func(seed int64) Algorithm {
@@ -191,6 +206,15 @@ func TestPinnedDialogueDigests(t *testing.T) {
 		{"RobustHDPI/flip-1", budgeted(NewRobustHDPI, roomy, flipFirst), "b469890592e03ed9bdcf7ef1590717ada2f2c25b9ca108bae23b85b5237cddca"},
 		{"RobustHDPI/panic-5", budgeted(NewRobustHDPI, roomy, panicAtFifth), "2ab67289a8efd6a721b2148d5bcde3496020b96752a8c0ce3e366bbf81a14871"},
 		{"RobustHDPI-accurate/max-6", budgeted(robustAccurate, six, nil), "8b2ffb1c736edc6fac541aaaf66116a40a3fe4e3a8e834096f1d80c5849489c5"},
+		// Deadline dialogues on a clock that steps at every read, so the
+		// number and place of the clock reads decide where the deadline
+		// lands. RH at 8 ms a read meets the deadline in one dialogue;
+		// HD-PI sampling at 40 ms halves its stop-check cadence in all 32
+		// and meets the deadline in 28; HD-PI accurate at 1 ms halves it in
+		// all 32 and converges.
+		{"RH/deadline-8ms", deadlined(NewRH, 8*time.Millisecond), "c4477adaa37709af284b49ce0821561b3abd59a6d37d99e3e6d490d816817073"},
+		{"HD-PI-sampling/deadline-40ms", deadlined(NewHDPI, 40*time.Millisecond), "013993c58203a65fda0b9c74b7d5a50e7bb0fc420efe391cee94ee8cdf6c2050"},
+		{"HD-PI-accurate/deadline-1ms", deadlined(NewHDPIAccurate, time.Millisecond), "b612b729602ad7c912f8e88edb569ad11bbaa9f104c5caea0082e2eabb7a80d7"},
 		// The baselines that cut or classify polytopes.
 		{"PreferenceLearning", single(NewPreferenceLearning), "fa111f73e75094a6269d27d6dd179365213707ebabdee6bde6c6c25a460d2282"},
 		{"ActiveRanking", single(NewActiveRanking), "e47e88e596cff29a1056a68cc9002edcee8a51157ebe39a729a687fbe1e29024"},
