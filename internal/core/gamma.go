@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"ist/internal/geom"
 	"ist/internal/polytope"
 )
@@ -16,15 +18,24 @@ type gammaRow struct {
 // recomputes every row's relationship to every partition after each answer;
 // because a cut can only shrink partitions, a cached Above/Below
 // classification stays valid forever and only Intersect entries ever need
-// rechecking, which turns the per-round cost from
-// O(rows·partitions·vertices) into O(rows·changed-partitions).
+// rechecking. The classes sit in one block, one column per partition, and
+// an answer touches only what it changed: a removed partition's column
+// leaves the live rows' counts, a cut partition's column has its Intersect
+// entries rechecked in place, and a partition wholly above the answer is
+// not read.
 type gammaTable struct {
-	rows    []gammaRow
-	classes [][]int8 // classes[r][c]: relationship of row r to partition c
-	nAbove  []int
-	nBelow  []int
-	nInt    []int
-	opt     HDPIOptions
+	rows []gammaRow
+	// block[col·len(rows)+r] is row r's class against the partition whose
+	// column is col; cols[ci] is the column of C[ci].
+	block []int8
+	cols  []int
+	// counts[r][c] counts the partitions of class c against row r, with a
+	// slot for every class, On and Empty too: N+, N− and N∩ of
+	// Definition 5.4 are its Above, Below and Intersect slots.
+	counts [][polytope.ClassEmpty + 1]int32
+	// live lists the rows that can still split R, in row order.
+	live []int
+	opt  HDPIOptions
 }
 
 // buildGamma constructs Γ rows for all pairs of the given point indices.
@@ -42,55 +53,62 @@ func buildGamma(points []geom.Vector, V []int) []gammaRow {
 	return gamma
 }
 
-// newGammaTable classifies every row against every partition once and drops
-// rows that cannot split R. It goes cell by cell, each cell classifying all
-// rows in one ClassifyEach call, and keeps the classes of all rows in one
-// block; a row's classes are its slice of the block.
+// newGammaTable classifies every row against every partition once, cell by
+// cell, each cell classifying all rows in one ClassifyEach call into its
+// column, and leaves out of the live list the rows that cannot split R.
 func newGammaTable(points []geom.Vector, V []int, C []partition, opt HDPIOptions) *gammaTable {
 	rows := buildGamma(points, V)
 	hs := make([]geom.Hyperplane, len(rows))
 	for r, row := range rows {
 		hs[r] = row.h
 	}
-	nc := len(C)
-	block := make([]int8, len(rows)*nc)
-	nAbove, nBelow, nInt := make([]int, len(rows)), make([]int, len(rows)), make([]int, len(rows))
-	out := make([]polytope.Class, len(rows))
+	n := len(rows)
+	g := &gammaTable{
+		rows:   rows,
+		block:  make([]int8, n*len(C)),
+		cols:   make([]int, len(C)),
+		counts: make([][polytope.ClassEmpty + 1]int32, n),
+		opt:    opt,
+	}
+	out := make([]polytope.Class, n)
 	for ci, part := range C {
 		part.poly.ClassifyEach(hs, opt.Strategy, opt.Stats, out)
+		col := g.block[ci*n : (ci+1)*n]
 		for r, c := range out {
-			block[r*nc+ci] = int8(c)
-			switch c {
-			case polytope.ClassAbove:
-				nAbove[r]++
-			case polytope.ClassBelow:
-				nBelow[r]++
-			case polytope.ClassIntersect:
-				nInt[r]++
-			}
+			col[r] = int8(c)
+			g.counts[r][c]++
 		}
+		g.cols[ci] = ci
 	}
-	g := &gammaTable{opt: opt, rows: rows[:0], nAbove: nAbove[:0], nBelow: nBelow[:0], nInt: nInt[:0]}
-	for r, row := range rows {
-		na, nb, ni := nAbove[r], nBelow[r], nInt[r]
-		if ni == 0 && (na == 0 || nb == 0) {
-			continue // preference already implied over R
+	for r := range rows {
+		if g.splits(r) {
+			g.live = append(g.live, r)
 		}
-		g.rows = append(g.rows, row)
-		g.classes = append(g.classes, block[r*nc:(r+1)*nc:(r+1)*nc])
-		g.nAbove = append(g.nAbove, na)
-		g.nBelow = append(g.nBelow, nb)
-		g.nInt = append(g.nInt, ni)
 	}
 	return g
 }
 
-// best returns the index of the row with the highest even score
-// min{N+, N−} − βN (Definition 5.4), or -1 when no informative row remains.
+// splits reports whether row r can still split R: some partition straddles
+// it, or partitions lie on both sides. Otherwise the preference is already
+// implied over R.
+func (g *gammaTable) splits(r int) bool {
+	cnt := &g.counts[r]
+	return cnt[polytope.ClassIntersect] > 0 || (cnt[polytope.ClassAbove] > 0 && cnt[polytope.ClassBelow] > 0)
+}
+
+// class returns row r's cached class against C[ci].
+func (g *gammaTable) class(r, ci int) polytope.Class {
+	return polytope.Class(g.block[g.cols[ci]*len(g.rows)+r])
+}
+
+// best returns the index in rows of the live row with the highest even
+// score min{N+, N−} − βN (Definition 5.4), or -1 when no informative row
+// remains.
 func (g *gammaTable) best() int {
 	bestRow, bestScore := -1, 0.0
-	for r := range g.rows {
-		score := float64(min(g.nAbove[r], g.nBelow[r])) - g.opt.Beta*float64(g.nInt[r])
+	for _, r := range g.live {
+		cnt := &g.counts[r]
+		score := float64(min(cnt[polytope.ClassAbove], cnt[polytope.ClassBelow])) - g.opt.Beta*float64(cnt[polytope.ClassIntersect])
 		if bestRow == -1 || score > bestScore {
 			bestRow, bestScore = r, score
 		}
@@ -99,76 +117,52 @@ func (g *gammaTable) best() int {
 }
 
 // apply cuts the partition set with the answered halfspace h (the user's
-// utility vector is in h+), removes the asked row, updates all cached
-// classifications incrementally, and returns the surviving partitions.
+// utility vector is in h+), retires the asked row, updates the cached
+// classifications in place, and returns the surviving partitions, compacted
+// in C's own array.
 func (g *gammaTable) apply(h geom.Hyperplane, C []partition, asked int) []partition {
-	// Classify and update partitions first, remembering the fate of each
-	// old index: its new index, or -1 when removed; cutPart marks shrunk
-	// partitions whose Intersect cache entries must be rechecked.
-	newIdx := make([]int, len(C))
-	cutPart := make([]bool, len(C))
-	var next []partition
+	if x := slices.Index(g.live, asked); x >= 0 {
+		g.live = slices.Delete(g.live, x, x+1)
+	}
+	n := len(g.rows)
+	kept := 0
 	for ci, part := range C {
+		col := g.block[g.cols[ci]*n : (g.cols[ci]+1)*n]
 		switch part.poly.ClassifyWith(h, g.opt.Strategy, g.opt.Stats) {
-		case polytope.ClassAbove:
-			newIdx[ci] = len(next)
-			next = append(next, part)
+		case polytope.ClassAbove: // untouched
 		case polytope.ClassIntersect:
 			part.poly.CutObserved(h, g.opt.Observer)
-			if !part.poly.IsEmpty() {
-				newIdx[ci] = len(next)
-				cutPart[ci] = true
-				next = append(next, part)
-			} else {
-				newIdx[ci] = -1
-			}
-		default: // Below, On, Empty: cannot contain the utility vector
-			newIdx[ci] = -1
-		}
-	}
-
-	// Rebuild each row's cache over the surviving partitions.
-	keepRows := 0
-	for r := range g.rows {
-		if r == asked {
-			continue
-		}
-		cls := make([]int8, len(next))
-		na, nb, ni := 0, 0, 0
-		for ci := range C {
-			ni2 := newIdx[ci]
-			if ni2 < 0 {
+			if part.poly.IsEmpty() {
+				g.remove(col)
 				continue
 			}
-			c := polytope.Class(g.classes[r][ci])
-			if cutPart[ci] && c == polytope.ClassIntersect {
-				// The partition shrank: an Intersect entry may have resolved.
-				c = next[ni2].poly.ClassifyWith(g.rows[r].h, g.opt.Strategy, g.opt.Stats)
+			// The partition shrank: an Intersect entry may have resolved.
+			for _, r := range g.live {
+				if polytope.Class(col[r]) != polytope.ClassIntersect {
+					continue
+				}
+				if c := part.poly.ClassifyWith(g.rows[r].h, g.opt.Strategy, g.opt.Stats); c != polytope.ClassIntersect {
+					col[r] = int8(c)
+					g.counts[r][polytope.ClassIntersect]--
+					g.counts[r][c]++
+				}
 			}
-			cls[ni2] = int8(c)
-			switch c {
-			case polytope.ClassAbove:
-				na++
-			case polytope.ClassBelow:
-				nb++
-			case polytope.ClassIntersect:
-				ni++
-			}
-		}
-		if ni == 0 && (na == 0 || nb == 0) {
+		default: // Below, On, Empty: cannot contain the utility vector
+			g.remove(col)
 			continue
 		}
-		g.rows[keepRows] = g.rows[r]
-		g.classes[keepRows] = cls
-		g.nAbove[keepRows] = na
-		g.nBelow[keepRows] = nb
-		g.nInt[keepRows] = ni
-		keepRows++
+		C[kept], g.cols[kept] = part, g.cols[ci]
+		kept++
 	}
-	g.rows = g.rows[:keepRows]
-	g.classes = g.classes[:keepRows]
-	g.nAbove = g.nAbove[:keepRows]
-	g.nBelow = g.nBelow[:keepRows]
-	g.nInt = g.nInt[:keepRows]
-	return next
+	clear(C[kept:])
+	g.cols = g.cols[:kept]
+	g.live = slices.DeleteFunc(g.live, func(r int) bool { return !g.splits(r) })
+	return C[:kept]
+}
+
+// remove takes a removed partition's column out of the live rows' counts.
+func (g *gammaTable) remove(col []int8) {
+	for _, r := range g.live {
+		g.counts[r][col[r]]--
+	}
 }

@@ -166,6 +166,10 @@ func (a *HDPI) run(points []geom.Vector, k, want int, o oracle.Oracle, tr *track
 	}
 	rng := a.opt.Rng
 	lastProbe := uniformUtility(len(points[0]))
+	// R = ⋃C as one polytope, cut by every answer. Its vertices span what
+	// the cells' many do, so Lemma 5.5 reads them instead; refine splits
+	// cells without changing their union.
+	R := polytope.NewSimplex(len(points[0]))
 	vd := map[int]bool{} // confirmed points (the paper's V_d)
 	round := 0
 	var stop stopScratch
@@ -180,9 +184,9 @@ func (a *HDPI) run(points []geom.Vector, k, want int, o oracle.Oracle, tr *track
 			return bestEffortCells(points, want, C, tr, tr.stopReason())
 		}
 		tr.maybeDegrade()
-		// Stopping condition 2: Lemma 5.5 over R = union of partitions.
+		// Stopping condition 2: Lemma 5.5 over R.
 		if tr.checkDue(round) {
-			verts := allVertices(C)
+			verts := R.Vertices()
 			probe := C[rng.Intn(len(C))].poly.Sample(rng)
 			lastProbe = probe
 			tr.observe(probe, verts)
@@ -224,6 +228,7 @@ func (a *HDPI) run(points []geom.Vector, k, want int, o oracle.Oracle, tr *track
 		tr.question(row.i, row.j, ans)
 		beforeCells := len(C)
 		C = gamma.apply(h, C, best)
+		R.Cut(h)
 		tr.pruned(beforeCells - len(C))
 		if len(C) == 0 {
 			return emptied(points, want, lastProbe, tr)
@@ -423,8 +428,8 @@ func buildPartitions(points []geom.Vector, V []int, region *polytope.Polytope, t
 	return C
 }
 
-// allVertices concatenates the vertex sets of every partition: the vertex
-// set of R = ⋃Θ for the Lemma 5.5 check.
+// allVertices concatenates the vertex sets of every partition, whose mean
+// places a best-effort answer.
 func allVertices(C []partition) []geom.Vector {
 	var out []geom.Vector
 	for _, part := range C {

@@ -192,7 +192,7 @@ func (a *RobustHDPI) run(points []geom.Vector, k int, o oracle.Oracle, tr *track
 		// cooldown — repeating an informative question is exactly how a
 		// posterior shakes off answer noise.
 		bestRow, bestScore := -1, -1.0
-		for r, cls := range gamma.classes {
+		for _, r := range gamma.live {
 			if tr.exhausted() {
 				break
 			}
@@ -200,8 +200,8 @@ func (a *RobustHDPI) run(points []geom.Vector, k int, o oracle.Oracle, tr *track
 				continue
 			}
 			var above, below float64
-			for ci, c := range cls {
-				switch polytope.Class(c) {
+			for ci := range C {
+				switch gamma.class(r, ci) {
 				case polytope.ClassAbove:
 					above += w[ci]
 				case polytope.ClassBelow:
@@ -239,8 +239,8 @@ func (a *RobustHDPI) run(points []geom.Vector, k int, o oracle.Oracle, tr *track
 		if !ans {
 			contradicted = polytope.ClassAbove
 		}
-		for ci, c := range gamma.classes[bestRow] {
-			switch polytope.Class(c) {
+		for ci := range C {
+			switch gamma.class(bestRow, ci) {
 			case contradicted:
 				w[ci] *= robustEta
 			case polytope.ClassIntersect, polytope.ClassOn:

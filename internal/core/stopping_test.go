@@ -8,6 +8,7 @@ import (
 	"ist/internal/dataset"
 	"ist/internal/geom"
 	"ist/internal/oracle"
+	"ist/internal/polytope"
 	"ist/internal/skyband"
 )
 
@@ -115,8 +116,118 @@ func tappedRegions(name string, band []geom.Vector, k int, seed int64) []stopInp
 	return tap.seen
 }
 
+// hdpiQuestions is HDPI.run's loop after set-up, without a budget: from
+// the partitions C and their table gamma it asks o until the run ends and
+// returns the run's answer. Before every stop check it hands round the
+// partitions, R and the probe. a.opt.Rng must be where set-up left it, so
+// that the probes and any refinement draw what HDPI.run's do.
+func hdpiQuestions(points []geom.Vector, k, want int, a *HDPI, C []partition, gamma *gammaTable, o oracle.Oracle, round func(C []partition, R *polytope.Polytope, probe geom.Vector)) []int {
+	rng := a.opt.Rng
+	R := polytope.NewSimplex(len(points[0]))
+	lastProbe := uniformUtility(len(points[0]))
+	vd := map[int]bool{}
+	var stop stopScratch
+	for {
+		if want == 1 && len(C) == 1 {
+			return []int{C[0].point}
+		}
+		probe := C[rng.Intn(len(C))].poly.Sample(rng)
+		lastProbe = probe
+		round(C, R, probe)
+		if res := stop.lemma55(points, k, R.Vertices(), probe, want); res != nil {
+			return res
+		}
+		best := -1
+		if len(C) > 1 {
+			best = gamma.best()
+		}
+		if best < 0 {
+			next, Vnext := a.refine(points, k, C, vd, nil)
+			if next == nil {
+				return bestEffortCells(points, want, C, nil, StopDegenerate)
+			}
+			C, gamma = next, newGammaTable(points, Vnext, next, a.opt)
+			continue
+		}
+		row := gamma.rows[best]
+		h := row.h
+		if !o.Prefer(points[row.i], points[row.j]) {
+			h = h.Flip()
+		}
+		C = gamma.apply(h, C, best)
+		R.Cut(h)
+		if len(C) == 0 {
+			return emptied(points, want, lastProbe, nil)
+		}
+	}
+}
+
+// hdpiRounds runs HD-PI on band for a random user drawn from seed, with
+// a.opt.Rng seeded by seed too, and hands round every stop check's
+// partitions, R and probe. It fails the test unless the run asks the
+// questions and gives the answer that HDPI.run does.
+func hdpiRounds(t testing.TB, band []geom.Vector, k, want int, mode ConvexMode, seed int64, round func(C []partition, R *polytope.Polytope, probe geom.Vector)) {
+	t.Helper()
+	u := oracle.RandomUtility(rand.New(rand.NewSource(seed)), len(band[0]))
+	user, ref := oracle.NewUser(u), oracle.NewUser(u)
+	a := NewHDPI(HDPIOptions{Mode: mode, Rng: rand.New(rand.NewSource(seed))})
+	var got []int
+	if C, gamma, done := setup(band, want, a.opt, nil); done != nil {
+		got = done
+	} else {
+		got = hdpiQuestions(band, k, want, a, C, gamma, user, round)
+	}
+	res := NewHDPI(HDPIOptions{Mode: mode, Rng: rand.New(rand.NewSource(seed))}).RunMulti(band, k, want, ref)
+	if !slices.Equal(got, res) || user.Questions() != ref.Questions() {
+		t.Fatalf("seed %d: replay answers %v after %d questions, HDPI.run %v after %d", seed, got, user.Questions(), res, ref.Questions())
+	}
+}
+
+// TestLemma55OverRMatchesCells holds HD-PI's stop check over R's vertices
+// to the check over every partition's vertices, the vertex set of R = ⋃C
+// it replaced: at every round of HD-PI dialogues on embed-slices-shaped and
+// anti-correlated bands, in sampling and accurate mode, at want 1 and 5,
+// both certify the same points or none.
+func TestLemma55OverRMatchesCells(t *testing.T) {
+	const k = 10
+	var bands [][]geom.Vector
+	catalog := carSliceCatalog(t)
+	rng := rand.New(rand.NewSource(2))
+	for len(bands) < 16 {
+		bands = append(bands, carSlice(catalog, rng))
+	}
+	for seed := int64(3); seed <= 4; seed++ {
+		pts := dataset.AntiCorrelated(rand.New(rand.NewSource(seed)), 300, 4).Points
+		bands = append(bands, skyband.Filter(pts, skyband.KSkyband(pts, k)))
+	}
+	var sR, sC stopScratch
+	checks, certified := 0, 0
+	for n, band := range bands {
+		for _, mode := range []ConvexMode{ConvexSampling, ConvexExact} {
+			for _, want := range []int{1, 5} {
+				hdpiRounds(t, band, k, want, mode, int64(n), func(C []partition, R *polytope.Polytope, probe geom.Vector) {
+					fromR := sR.lemma55(band, k, R.Vertices(), probe, want)
+					fromC := sC.lemma55(band, k, allVertices(C), probe, want)
+					if !slices.Equal(fromR, fromC) {
+						t.Fatalf("band %d, %v, want %d, check %d: %v over R, %v over the partitions", n, mode, want, checks, fromR, fromC)
+					}
+					checks++
+					if fromR != nil {
+						certified++
+					}
+				})
+			}
+		}
+	}
+	if checks < 200 || certified == 0 {
+		t.Fatalf("%d checks, %d certified: too few to compare", checks, certified)
+	}
+}
+
 // stopInputs collects regions from real RH and HD-PI runs on
-// anti-correlated and Car-like bands, then adds the edge cases: duplicated
+// anti-correlated and Car-like bands, HD-PI's both as R, which its stop
+// check reads, and as the union of its partitions, whose large vertex sets
+// repeat every shared vertex. It then adds the edge cases: duplicated
 // vertices, k ≥ n, k = 0 and no region vertices.
 func stopInputs(t testing.TB) []stopInput {
 	t.Helper()
@@ -139,6 +250,11 @@ func stopInputs(t testing.TB) []stopInput {
 					out = append(out, in)
 				}
 			}
+		}
+		for seed := int64(1); seed <= 3; seed++ {
+			hdpiRounds(t, band, b.k, 1, ConvexExact, seed, func(C []partition, _ *polytope.Polytope, probe geom.Vector) {
+				out = append(out, stopInput{name: b.name + "/hdpi-cells", points: band, k: b.k, verts: allVertices(C), probe: probe.Clone()})
+			})
 		}
 	}
 	if len(out) < 30 {

@@ -16,9 +16,11 @@ import (
 	"ist/internal/faultinject"
 )
 
-// This file pins the complete outcome of fixed dialogue sets on a Car-like
-// band: every question, every answer and the result of 32 dialogues per
-// algorithm hash to a digest recorded from the reference implementation.
+// This file pins the complete outcome of fixed dialogue sets on two
+// Car-like bands, the 20-skyband of a small catalog and an
+// embed-slices-shaped 10-skyband: every question, every answer and the
+// result of 32 dialogues per algorithm hash to a digest recorded from the
+// reference implementation.
 // A change to a stopping rule, a ranking helper or the polytope code that
 // alters a single question or result, even one the other tests would
 // accept as correct, moves the digest. Budgeted cases also hash their
@@ -74,18 +76,41 @@ func pinnedBand() []Point {
 	return Preprocess(CarLike(rand.New(rand.NewSource(1)), 2000).Points, pinnedK)
 }
 
-// pinnedRun runs one dialogue and returns its result indices and, for a
-// budgeted run, its certificate (nil otherwise).
-type pinnedRun func(num int64, o Oracle) ([]int, *Certificate)
+// pinnedSliceK is the k of the embed-slices-shaped rows.
+const pinnedSliceK = 10
 
-// pinnedDigest runs the dialogues and returns the hex digest of their
-// questions, answers, results, certificates and question counts.
-func pinnedDigest(band []Point, run pinnedRun) string {
+// pinnedSlice is an embed-slices-shaped band: the 10-skyband of the 1,000
+// tuples at the first indices of a seed-1 permutation of the 68,010-tuple
+// Car-like catalog of seed 1, 356 points.
+func pinnedSlice(t *testing.T) []Point {
+	t.Helper()
+	ds, err := DatasetByName("car", rand.New(rand.NewSource(1)), 68010, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slice := make([]Point, 0, 1000)
+	for _, i := range rand.New(rand.NewSource(1)).Perm(len(ds.Points))[:1000] {
+		slice = append(slice, ds.Points[i])
+	}
+	band := Preprocess(slice, pinnedSliceK)
+	if len(band) != 356 {
+		t.Fatalf("slice band has %d points, want 356", len(band))
+	}
+	return band
+}
+
+// pinnedRun runs one dialogue on band at k and returns its result indices
+// and, for a budgeted run, its certificate (nil otherwise).
+type pinnedRun func(band []Point, k int, num int64, o Oracle) ([]int, *Certificate)
+
+// pinnedDigest runs the dialogues on band at k and returns the hex digest
+// of their questions, answers, results, certificates and question counts.
+func pinnedDigest(band []Point, k int, run pinnedRun) string {
 	o := &digestOracle{h: sha256.New()}
 	for num := int64(1); num <= pinnedDialogues; num++ {
 		u := RandomUtility(rand.New(rand.NewSource(1000+num)), len(band[0]))
 		o.user = NewUser(u)
-		res, cert := run(num, o)
+		res, cert := run(band, k, num, o)
 		o.int(-1)
 		for _, i := range res {
 			o.int(int64(i))
@@ -128,43 +153,43 @@ func TestPinnedDialogueDigests(t *testing.T) {
 	}
 	band := pinnedBand()
 	single := func(newAlg func(seed int64) Algorithm) pinnedRun {
-		return func(num int64, o Oracle) ([]int, *Certificate) {
-			return []int{Solve(newAlg(num), band, pinnedK, o).Index}, nil
+		return func(band []Point, k int, num int64, o Oracle) ([]int, *Certificate) {
+			return []int{Solve(newAlg(num), band, k, o).Index}, nil
 		}
 	}
 	multi := func(newAlg func(seed int64) MultiAlgorithm, want int) pinnedRun {
-		return func(num int64, o Oracle) ([]int, *Certificate) {
-			return newAlg(num).RunMulti(band, pinnedK, want, o), nil
+		return func(band []Point, k int, num int64, o Oracle) ([]int, *Certificate) {
+			return newAlg(num).RunMulti(band, k, want, o), nil
 		}
 	}
 	// budgeted runs a dialogue under b; wrap, when set, sits between the
 	// algorithm and the digest.
 	budgeted := func(newAlg func(seed int64) Algorithm, b Budget, wrap func(Oracle) Oracle) pinnedRun {
-		return func(num int64, o Oracle) ([]int, *Certificate) {
+		return func(band []Point, k int, num int64, o Oracle) ([]int, *Certificate) {
 			if wrap != nil {
 				o = wrap(o)
 			}
-			res := SolveBudgeted(newAlg(num), band, pinnedK, o, b)
+			res := SolveBudgeted(newAlg(num), band, k, o, b)
 			return []int{res.Index}, res.Certificate
 		}
 	}
 	budgetedMulti := func(newAlg func(seed int64) MultiAlgorithm, want int, b Budget, wrap func(Oracle) Oracle) pinnedRun {
-		return func(num int64, o Oracle) ([]int, *Certificate) {
+		return func(band []Point, k int, num int64, o Oracle) ([]int, *Certificate) {
 			if wrap != nil {
 				o = wrap(o)
 			}
-			idx, cert := newAlg(num).RunMultiBudgeted(band, pinnedK, want, o, b)
+			idx, cert := newAlg(num).RunMultiBudgeted(band, k, want, o, b)
 			return idx, &cert
 		}
 	}
 	// deadlined runs a dialogue under a deadline 1 s away on a fresh fake
 	// clock that advances by step at every read.
 	deadlined := func(newAlg func(seed int64) Algorithm, step time.Duration) pinnedRun {
-		return func(num int64, o Oracle) ([]int, *Certificate) {
+		return func(band []Point, k int, num int64, o Oracle) ([]int, *Certificate) {
 			start := time.Unix(1000, 0)
 			fake := clock.NewFake(start)
 			fake.SetStep(step)
-			res := SolveBudgeted(newAlg(num), band, pinnedK, o, Budget{Deadline: start.Add(time.Second), Clock: fake})
+			res := SolveBudgeted(newAlg(num), band, k, o, Budget{Deadline: start.Add(time.Second), Clock: fake})
 			return []int{res.Index}, res.Certificate
 		}
 	}
@@ -181,11 +206,19 @@ func TestPinnedDialogueDigests(t *testing.T) {
 	six := Budget{MaxQuestions: 6}
 	roomy := Budget{MaxQuestions: 64}
 	allTopK := Budget{MaxQuestions: 24}
-	cases := []struct {
+	type pinnedCase struct {
 		name string
 		run  pinnedRun
 		want string
-	}{
+	}
+	check := func(band []Point, k int, cases []pinnedCase) {
+		for _, c := range cases {
+			if got := pinnedDigest(band, k, c.run); got != c.want {
+				t.Errorf("%s: digest %s, want %s", c.name, got, c.want)
+			}
+		}
+	}
+	check(band, pinnedK, []pinnedCase{
 		{"RH", single(NewRH), "abb24c196dd8dd10769f8bfb38b71577ddcfc857087d99cdf566c1862a05a974"},
 		{"HD-PI-accurate", single(NewHDPIAccurate), "30adf2bcba194b5b0c8b54ac8baeae9ff1258bd6598be68366917accfabbc1ce"},
 		{"RobustHDPI", single(NewRobustHDPI), "b9172a5e13cfd55b06dc1c489715e24c7c669272db0501196b9a51b1d9e5d58a"},
@@ -223,10 +256,18 @@ func TestPinnedDialogueDigests(t *testing.T) {
 		{"Sorting-Random", single(sortingRandom), "6c8e7500924a63cf10e82aa0ceb84ca9dc114f73cee778b2f15aee88bb4bd059"},
 		{"UH-Random-Adapt", single(NewUHRandomAdapt), "1b7d2501e40f7b155cc385956704eacd37d9fd5498338002e1e0994a96d96069"},
 		{"UH-Simplex-Adapt", single(NewUHSimplexAdapt), "8e8521e92d1ae374dd76972decd59d1a54eadc75be47f4de5b8d6383b3d2609a"},
+	})
+	// HD-PI on an embed-slices-shaped band, whose cells are many and small.
+	// The AllTopK row (want = k) takes the V_d refinement in all 32
+	// dialogues, and the panic row's certificate counts candidates over the
+	// last stop check's vertices.
+	accurateMulti := func(seed int64) MultiAlgorithm {
+		return core.NewHDPI(core.HDPIOptions{Mode: core.ConvexExact, Rng: rand.New(rand.NewSource(seed))})
 	}
-	for _, c := range cases {
-		if got := pinnedDigest(band, c.run); got != c.want {
-			t.Errorf("%s: digest %s, want %s", c.name, got, c.want)
-		}
-	}
+	check(pinnedSlice(t), pinnedSliceK, []pinnedCase{
+		{"HD-PI-accurate/slice", single(NewHDPIAccurate), "6f97f5e81ca42a51a773530a31f5289b7f86248879c4df27232792ecdf5c0736"},
+		{"HD-PI-sampling/slice", single(NewHDPI), "f76871070849ecbbd21894213c6d09db443778649f7b25f2654bacecac308ad4"},
+		{"HD-PI-accurate-AllTopK/slice", multi(accurateMulti, pinnedSliceK), "0fe0120b3e2e6c349c2c2cafdd0dc000208eecd72e0d4f112493283e24205422"},
+		{"HD-PI-accurate/slice/panic-5", budgeted(NewHDPIAccurate, roomy, panicAtFifth), "7b28b3cdc7769f70496d3fdb09e7a8411f52706546bc79a6e26ad75c5665817d"},
+	})
 }
