@@ -1,6 +1,7 @@
 package skyband
 
 import (
+	"math"
 	"sort"
 
 	"ist/internal/geom"
@@ -22,13 +23,20 @@ func KSkyband2D(points []geom.Vector, k int) []int {
 	if k < 1 {
 		panic("skyband: k must be >= 1")
 	}
-
-	// Compress y values to ranks 1..m.
-	ys := make([]float64, n)
-	for i, p := range points {
-		ys[i] = p[1]
+	if n > math.MaxInt32 {
+		panic("skyband: KSkyband2D indexes points with int32")
 	}
-	sorted := append([]float64(nil), ys...)
+
+	// The scratch is about 17 bytes a point: the sorted ys, an int32 order
+	// and Fenwick count each, and one verdict byte. It is all garbage when
+	// the call returns, and a catalog's set-up allocates it on top of the
+	// catalog, so it is kept small.
+	//
+	// Compress y values to ranks 1..m.
+	sorted := make([]float64, n)
+	for i, p := range points {
+		sorted[i] = p[1]
+	}
 	sort.Float64s(sorted)
 	uniq := sorted[:0]
 	for i, v := range sorted {
@@ -44,9 +52,9 @@ func KSkyband2D(points []geom.Vector, k int) []int {
 
 	// Process points in decreasing x; within equal x, y plays no role for
 	// the cross-group count but the within-group count handles strict-y.
-	order := make([]int, n)
+	order := make([]int32, n)
 	for i := range order {
-		order[i] = i
+		order[i] = int32(i)
 	}
 	sort.SliceStable(order, func(a, b int) bool {
 		pa, pb := points[order[a]], points[order[b]]
@@ -58,7 +66,7 @@ func KSkyband2D(points []geom.Vector, k int) []int {
 	})
 
 	bit := newFenwick(len(uniq))
-	dominators := make([]int, n)
+	in := make([]bool, n)
 	for gs := 0; gs < n; {
 		ge := gs
 		x := points[order[gs]][0]
@@ -70,19 +78,17 @@ func KSkyband2D(points []geom.Vector, k int) []int {
 		}
 		group := order[gs:ge]
 		// Cross-group: processed points all have strictly larger x, so any
-		// of them with y >= p.y dominates p.
-		for _, idx := range group {
-			dominators[idx] = bit.suffixCount(rankOf(points[idx][1]))
-		}
-		// Within-group (equal x): q dominates p iff q.y > p.y. The group is
-		// sorted by y descending, so the number of strictly-larger ys is the
-		// count of predecessors with a different y value.
+		// of them with y >= p.y dominates p. Within-group (equal x): q
+		// dominates p iff q.y > p.y. The group is sorted by y descending,
+		// so the number of strictly-larger ys is the count of predecessors
+		// with a different y value. The tree takes the group only once all
+		// of it is counted.
 		strictlyAbove := 0
 		for gi, idx := range group {
 			if gi > 0 && points[group[gi-1]][1] > points[idx][1] {
 				strictlyAbove = gi
 			}
-			dominators[idx] += strictlyAbove
+			in[idx] = bit.suffixCount(rankOf(points[idx][1]))+strictlyAbove < k
 		}
 		for _, idx := range group {
 			bit.add(rankOf(points[idx][1]))
@@ -91,21 +97,23 @@ func KSkyband2D(points []geom.Vector, k int) []int {
 	}
 
 	var out []int
-	for i := 0; i < n; i++ {
-		if dominators[i] < k {
+	for i, ok := range in {
+		if ok {
 			out = append(out, i)
 		}
 	}
 	return out
 }
 
-// fenwick is a Fenwick (binary indexed) tree counting inserted y-ranks.
+// fenwick is a Fenwick (binary indexed) tree counting inserted y-ranks. A
+// count never exceeds the number of points, which KSkyband2D keeps within
+// int32.
 type fenwick struct {
-	tree []int
+	tree []int32
 	n    int
 }
 
-func newFenwick(n int) *fenwick { return &fenwick{tree: make([]int, n+1), n: n} }
+func newFenwick(n int) *fenwick { return &fenwick{tree: make([]int32, n+1), n: n} }
 
 // add inserts one occurrence of rank r (1-based).
 func (f *fenwick) add(r int) {
@@ -118,7 +126,7 @@ func (f *fenwick) add(r int) {
 func (f *fenwick) prefixCount(r int) int {
 	s := 0
 	for ; r > 0; r -= r & -r {
-		s += f.tree[r]
+		s += int(f.tree[r])
 	}
 	return s
 }

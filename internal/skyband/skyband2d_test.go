@@ -2,6 +2,7 @@ package skyband
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -98,6 +99,23 @@ func TestQuick2DMatches(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The 2-d path runs once per catalog set-up, and all its scratch is garbage
+// afterwards, so it is held to about 17 bytes a point.
+func TestKSkyband2DScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	pts := make([]geom.Vector, 60000)
+	for i := range pts {
+		pts[i] = geom.Vector{rng.Float64(), rng.Float64()}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	band := KSkyband2D(pts, 5)
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(18*len(pts)+8*len(band)+4096); got > limit {
+		t.Fatalf("KSkyband2D allocated %d bytes on %d points, want at most %d", got, len(pts), limit)
 	}
 }
 
